@@ -82,7 +82,8 @@ class ChainParams:
         if self.alpha is not None:
             _require(0.0 <= self.alpha < 1.0, "alpha must lie in [0, 1)")
             _require(self.big_m > 0.0, "big_m must be positive")
-        _require(self.dratio >= 0.0, "dratio must be nonnegative")
+        _require(0.0 <= self.dratio < math.inf,
+                 "dratio must be finite and nonnegative")
         if self.reversible and self.alpha is not None:
             _require(self.gap >= (1.0 - self.alpha) - 1e-12,
                      "a reversible chain has gap >= 1 - alpha")

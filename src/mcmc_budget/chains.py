@@ -70,6 +70,15 @@ def derived_rng(master_seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _uniform_draws(rngs, width: int) -> np.ndarray:
+    """``width`` uniforms per generator, written in place: row ``r`` holds
+    exactly what ``rngs[r].random(width)`` would return."""
+    draws = np.empty((len(rngs), width))
+    for rng, row in zip(rngs, draws):
+        rng.random(out=row)
+    return draws
+
+
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -248,21 +257,23 @@ def uniform_ergodicity_constants(chain: FiniteChain) -> tuple[float, float]:
     if alpha >= 1.0 - 1e-12:
         raise DomainError(
             "chain is periodic or reducible (an eigenvalue has modulus 1)")
-    k = chain.transition
-    pi = chain.stationary
-    power = np.eye(chain.size)
     alpha_pow = 1.0
     big_m = 0.0
-    for _ in range(_TV_HORIZON):
-        power = power @ k
+    for tv in _worst_start_tv(chain, _TV_HORIZON):
         alpha_pow *= alpha
-        if alpha_pow == 0.0:
-            break
-        tv = 0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
-        if tv <= TV_RESOLUTION:
+        if alpha_pow == 0.0 or tv <= TV_RESOLUTION:
             break
         big_m = max(big_m, float(tv) / alpha_pow)
     return alpha, big_m if big_m > 0.0 else 1.0
+
+
+def _worst_start_tv(chain: FiniteChain, horizon: int):
+    """Yield ``max_x TV(P^n(x, .), pi)`` for ``n = 1 .. horizon``."""
+    pi = chain.stationary
+    power = np.eye(chain.size)
+    for _ in range(horizon):
+        power = power @ chain.transition
+        yield 0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +287,7 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution, length: int,
     Row ``r`` depends only on ``rngs[r]``, so results are identical however
     replications are grouped into batches.
     """
-    draws = np.stack([rng.random(length) for rng in rngs])
+    draws = _uniform_draws(rngs, length)
     states = np.empty((len(rngs), length), dtype=np.int64)
     cum_nu = np.cumsum(nu.nu)
     cum_nu[-1] = 1.0
@@ -377,7 +388,19 @@ def singular_f(gamma: float) -> SingularFunction:
     return SingularFunction(gamma)
 
 
-class IidUniformSampler:
+class _ContinuousSampler:
+    """Moments of a singular integrand under the sampler's target."""
+
+    target: PowerLawDensity
+
+    def expectation(self, f: SingularFunction) -> float:
+        return f.expectation(self.target)
+
+    def lp_norm(self, f: SingularFunction, p: float) -> float:
+        return f.lp_norm(p, self.target)
+
+
+class IidUniformSampler(_ContinuousSampler):
     """Independent uniform draws, viewed as a chain with gap 1."""
 
     name = "iid-uniform"
@@ -387,20 +410,11 @@ class IidUniformSampler:
         self.params = ChainParams(gap=1.0, alpha=0.0, big_m=1.0, dratio=0.0,
                                   reversible=True)
 
-    def expectation(self, f: SingularFunction) -> float:
-        return f.expectation(self.target)
-
-    def lp_norm(self, f: SingularFunction, p: float) -> float:
-        return f.lp_norm(p, self.target)
-
     def batch_values(self, f, length: int, rngs) -> np.ndarray:
-        return np.stack([f(rng.random(length)) for rng in rngs])
-
-    def trajectory_values(self, f, length: int, rng) -> np.ndarray:
-        return self.batch_values(f, length, [rng])[0]
+        return f(_uniform_draws(rngs, length))
 
 
-class IndepMHSampler:
+class IndepMHSampler(_ContinuousSampler):
     """Independence Metropolis sampler with uniform proposals.
 
     The target density must be bounded by some ``beta``; the sampler is
@@ -417,16 +431,10 @@ class IndepMHSampler:
         self.params = ChainParams(gap=inv_beta, alpha=1.0 - inv_beta,
                                   big_m=1.0, dratio=0.0, reversible=True)
 
-    def expectation(self, f: SingularFunction) -> float:
-        return f.expectation(self.target)
-
-    def lp_norm(self, f: SingularFunction, p: float) -> float:
-        return f.lp_norm(p, self.target)
-
     def batch_values(self, f, length: int, rngs) -> np.ndarray:
         # one initial inverse-CDF draw, then a (proposal, acceptance) pair
         # per step; row r consumes only rngs[r], keeping batching irrelevant
-        draws = np.stack([rng.random(2 * length - 1) for rng in rngs])
+        draws = _uniform_draws(rngs, 2 * length - 1)
         x = self.target.inverse_cdf(draws[:, 0])
         values = np.empty((len(rngs), length))
         values[:, 0] = f(x)
@@ -437,9 +445,6 @@ class IndepMHSampler:
             x = np.where(accept, proposal, x)
             values[:, t] = f(x)
         return values
-
-    def trajectory_values(self, f, length: int, rng) -> np.ndarray:
-        return self.batch_values(f, length, [rng])[0]
 
 
 def indep_mh_sampler(target: PowerLawDensity) -> IndepMHSampler:
@@ -477,9 +482,6 @@ class FiniteChainModel:
     def batch_values(self, f_values, length: int, rngs) -> np.ndarray:
         f = np.asarray(f_values, dtype=float)
         return f[_batch_states(self.chain, self.nu, length, rngs)]
-
-    def trajectory_values(self, f_values, length: int, rng) -> np.ndarray:
-        return self.batch_values(f_values, length, [rng])[0]
 
 
 def finite_model(chain: FiniteChain, nu: InitialDistribution | None = None,

@@ -34,7 +34,7 @@ from .bounds import (
     uniform_error_bound,
 )
 from .chains import FiniteChainModel, derived_rng, singular_f
-from .estimator import estimate_e1
+from .estimator import DEFAULT_CHUNK_ELEMENTS, estimate_e1
 from .exceptions import McmcBudgetError
 from .planner import PlanRequest, budget_for_delta, budget_table, delta_hat, \
     delta_star, plan_uniform
@@ -268,12 +268,19 @@ def _simulation_function(args, model):
     return singular_f(args.gamma)
 
 
+def _load_model(source: str):
+    try:
+        return resolve_model(source)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(f"cannot read chain file {source}: {exc}")
+
+
 def cmd_simulate(args) -> int:
-    model = resolve_model(args.chain)
+    model = _load_model(args.chain)
     f = _simulation_function(args, model)
     if args.trajectory:
         length = args.n + args.n0
-        values = model.trajectory_values(f, length, derived_rng(args.seed, 0))
+        values = model.batch_values(f, length, [derived_rng(args.seed, 0)])[0]
         rows = [{"chain": args.chain, "step": step + 1,
                  "value": float(value), "seed": args.seed}
                 for step, value in enumerate(values)]
@@ -336,7 +343,7 @@ def _suites_for(args, model) -> list:
 
 
 def cmd_validate(args) -> int:
-    model = resolve_model(args.chain)
+    model = _load_model(args.chain)
     reports = _suites_for(args, model)
     rows = [row.as_dict() for report in reports for row in report.rows]
     passed = all(report.passed for report in reports)
@@ -361,7 +368,13 @@ def cmd_validate(args) -> int:
 
 def _default_seed() -> int:
     raw = os.environ.get("MCMC_BUDGET_SEED")
-    return int(raw) if raw else _DEFAULT_SEED
+    if not raw:
+        return _DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError(
+            f"MCMC_BUDGET_SEED must be an integer, got {raw!r}")
 
 
 def _add_common(parser) -> None:
@@ -430,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trajectory", action="store_true",
                           help="emit one raw trajectory instead")
     simulate.add_argument("--chunk-elements", dest="chunk_elements",
-                          type=int, default=8_000_000)
+                          type=int, default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(simulate)
     simulate.set_defaults(handler=cmd_simulate)
 
@@ -455,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--start", choices=("point-mass", "stationary"),
                           default="point-mass")
     validate.add_argument("--chunk-elements", dest="chunk_elements",
-                          type=int, default=8_000_000)
+                          type=int, default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(validate)
     validate.set_defaults(handler=cmd_validate)
 
@@ -484,7 +497,11 @@ def _collect_destinations(parser: argparse.ArgumentParser) -> set:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     config_probe = argparse.ArgumentParser(add_help=False)
     config_probe.add_argument("--config")
     found, _ = config_probe.parse_known_args(argv)

@@ -13,25 +13,26 @@ instead of a standard error.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError
 
 __all__ = [
+    "DEFAULT_CHUNK_ELEMENTS",
     "ErrorEstimate",
     "RateFit",
     "abs_deviations",
     "estimate_e1",
+    "estimate_e1_windows",
     "estimate_ep",
     "exact_e1_small",
     "rate_regression",
     "sample_mean",
 ]
 
-_DEFAULT_CHUNK_ELEMENTS = 8_000_000
+DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
 _ENUMERATION_BUDGET = 10**7
 
@@ -88,54 +89,16 @@ def sample_mean(trajectory, f, n: int, n0: int) -> float:
     return float(np.mean(values))
 
 
-def _window_means(model, f, n: int, n0: int, rngs) -> np.ndarray:
-    values = model.batch_values(f, n + n0, rngs)
-    return values[:, n0:].mean(axis=1)
+def _deviations(model, f, windows, replications: int, master_seed: int,
+                chunk_elements: int) -> np.ndarray:
+    """``|S - mu|`` per window (row) and replication (column).
 
-
-def abs_deviations(model, f, n: int, n0: int, replications: int,
-                   master_seed: int,
-                   chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS) -> np.ndarray:
-    """Per-replication values of ``|S - mu|``, in replication order.
-
-    Replication ``r`` consumes only its own derived stream, and the mean
-    is taken once over the assembled vector, so the result does not depend
-    on ``chunk_elements`` (the batching knob).
+    One walk of ``max(n + n0)`` steps per replication serves every window:
+    a shorter trajectory is a prefix of a longer one on the same stream.
+    Chunks are of equal size, each within ``chunk_elements`` values, and
+    each is freed before the next is drawn (an uneven tail chunk raises
+    the allocator's mmap threshold and so the peak resident memory).
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if n0 < 0:
-        raise DomainError("n0 must be nonnegative")
-    if replications < 2:
-        raise DomainError("at least 2 replications are required")
-    from .chains import derived_rng
-
-    mu = model.expectation(f)
-    length = n + n0
-    rows_per_chunk = max(1, int(chunk_elements) // length)
-    deviations = np.empty(replications)
-    for start in range(0, replications, rows_per_chunk):
-        stop = min(start + rows_per_chunk, replications)
-        rngs = [derived_rng(master_seed, rep) for rep in range(start, stop)]
-        deviations[start:stop] = np.abs(
-            _window_means(model, f, n, n0, rngs) - mu)
-    return deviations
-
-
-def estimate_e1_windows(model, f, windows, replications: int,
-                        master_seed: int,
-                        chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS):
-    """Estimates of ``E|S - mu|`` for several ``(n, n0)`` windows at once.
-
-    All windows observe the same walks, so a single generation pass of
-    ``max(n + n0)`` steps serves every window; this is what makes sweeping
-    many small windows affordable (deriving per-replication streams anew
-    for each window costs far more than the walks themselves).  Because a
-    shorter trajectory is a prefix of a longer one from the same stream,
-    slicing the shared value matrix reproduces bit for bit what
-    :func:`estimate_e1` returns for each window on its own.
-    """
-    windows = [(int(n), int(n0)) for n, n0 in windows]
     if not windows:
         raise DomainError("at least one window is required")
     for n, n0 in windows:
@@ -150,46 +113,73 @@ def estimate_e1_windows(model, f, windows, replications: int,
     mu = model.expectation(f)
     length = max(n + n0 for n, n0 in windows)
     rows_per_chunk = max(1, int(chunk_elements) // length)
+    chunks = -(-replications // rows_per_chunk)
     deviations = np.empty((len(windows), replications))
-    for start in range(0, replications, rows_per_chunk):
-        stop = min(start + rows_per_chunk, replications)
-        rngs = [derived_rng(master_seed, rep) for rep in range(start, stop)]
-        values = model.batch_values(f, length, rngs)
+    for chunk in range(chunks):
+        start = chunk * replications // chunks
+        stop = (chunk + 1) * replications // chunks
+        values = model.batch_values(
+            f, length, [derived_rng(master_seed, rep)
+                        for rep in range(start, stop)])
         for k, (n, n0) in enumerate(windows):
             deviations[k, start:stop] = np.abs(
                 values[:, n0:n0 + n].mean(axis=1) - mu)
-    return [ErrorEstimate(e1_hat=float(np.mean(dev)),
-                          uncertainty=_half_iqr_of_block_means(dev),
-                          replications=replications, n=n, n0=n0)
-            for (n, n0), dev in zip(windows, deviations)]
+        del values
+    return deviations
 
 
-def _half_iqr_of_block_means(deviations: np.ndarray) -> float:
+def _estimate(deviations: np.ndarray, n: int, n0: int) -> ErrorEstimate:
     blocks = min(_UNCERTAINTY_BLOCKS, deviations.shape[0])
     means = [float(np.mean(block))
              for block in np.array_split(deviations, blocks)]
     q1, q3 = np.percentile(means, [25.0, 75.0])
-    return 0.5 * float(q3 - q1)
+    return ErrorEstimate(e1_hat=float(np.mean(deviations)),
+                         uncertainty=0.5 * float(q3 - q1),
+                         replications=deviations.shape[0], n=n, n0=n0)
+
+
+def abs_deviations(model, f, n: int, n0: int, replications: int,
+                   master_seed: int,
+                   chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> np.ndarray:
+    """Per-replication values of ``|S - mu|``, in replication order.
+
+    Replication ``r`` consumes only its own derived stream, and the mean
+    is taken once over the assembled vector, so the result does not depend
+    on ``chunk_elements`` (the batching knob).
+    """
+    return _deviations(model, f, [(n, n0)], replications, master_seed,
+                       chunk_elements)[0]
+
+
+def estimate_e1_windows(model, f, windows, replications: int,
+                        master_seed: int,
+                        chunk_elements: int = DEFAULT_CHUNK_ELEMENTS):
+    """Estimates of ``E|S - mu|`` for several ``(n, n0)`` windows at once.
+
+    All windows observe the same walks, so a single generation pass of
+    ``max(n + n0)`` steps serves every window; this is what makes sweeping
+    many small windows, or a grid of ``n``, affordable.  Because a shorter
+    trajectory is a prefix of a longer one from the same stream, each
+    result is bit for bit what :func:`estimate_e1` returns for that window
+    on its own.
+    """
+    windows = [(int(n), int(n0)) for n, n0 in windows]
+    deviations = _deviations(model, f, windows, replications, master_seed,
+                             chunk_elements)
+    return [_estimate(dev, n, n0) for (n, n0), dev in zip(windows, deviations)]
 
 
 def estimate_e1(model, f, n: int, n0: int, replications: int,
                 master_seed: int,
-                chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS) -> ErrorEstimate:
+                chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ErrorEstimate:
     """Replicated Monte Carlo estimate of ``E|S - mu|``."""
-    deviations = abs_deviations(model, f, n, n0, replications, master_seed,
-                                chunk_elements)
-    return ErrorEstimate(
-        e1_hat=float(np.mean(deviations)),
-        uncertainty=_half_iqr_of_block_means(deviations),
-        replications=replications,
-        n=n,
-        n0=n0,
-    )
+    return _estimate(abs_deviations(model, f, n, n0, replications,
+                                    master_seed, chunk_elements), n, n0)
 
 
 def estimate_ep(model, f, n: int, n0: int, p: float, replications: int,
                 master_seed: int,
-                chunk_elements: int = _DEFAULT_CHUNK_ELEMENTS) -> float:
+                chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> float:
     """Generalized error ``(E|S - mu|**p)**(1/p)`` for ``p`` in [1, 2].
 
     At ``p = 1`` this reproduces ``estimate_e1`` bit for bit on the same

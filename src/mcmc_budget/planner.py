@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ChainParams, FunctionClass, gap_burnin, gap_error_bound, \
-    uniform_burnin, uniform_error_bound
+from .bounds import ChainParams, FunctionClass, _require, gap_burnin, \
+    gap_error_bound, uniform_burnin, uniform_error_bound
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -46,11 +46,6 @@ _BISECT_REL_TOL = 1e-9
 _BISECT_MAX_STEPS = 200
 _GRID_POINTS = 240
 _GOLDEN_TOL = 1e-6  # absolute in log(delta), i.e. relative in delta
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,14 @@ from .chains import (
     TV_RESOLUTION,
     FiniteChainModel,
     InitialDistribution,
+    _worst_start_tv,
     finite_model,
     load_chain,
     make_chain,
     singular_f,
     spectral_gap_exact,
 )
-from .estimator import (estimate_e1, estimate_e1_windows,
+from .estimator import (DEFAULT_CHUNK_ELEMENTS, estimate_e1_windows,
                         exact_e1_small, rate_regression)
 from .exceptions import DomainError
 
@@ -54,7 +55,6 @@ CSV_COLUMNS = ("suite", "chain", "check", "n", "n0", "replications",
                "e1_hat", "uncertainty", "bound_total", "passed", "seed")
 
 _DEFAULT_MARGIN = 4.0
-_DEFAULT_CHUNK = 8_000_000
 # degenerate instances can have exactly zero Monte Carlo spread, where the
 # only deviation from the exact value is summation roundoff; allow for it
 _FLOAT_SLACK = 1e-12
@@ -113,7 +113,7 @@ def _default_values(model: FiniteChainModel) -> np.ndarray:
     return np.arange(model.chain.size, dtype=float)
 
 
-def _require_finite(model, suite: str) -> FiniteChainModel:
+def _finite_only(model, suite: str) -> FiniteChainModel:
     if not isinstance(model, FiniteChainModel):
         raise DomainError(f"the {suite} suite needs a finite chain")
     return model
@@ -126,14 +126,14 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
                           p: float = 2.0, delta: float = 0.5,
                           start: str = "point-mass",
                           margin: float = _DEFAULT_MARGIN,
-                          chunk_elements: int = _DEFAULT_CHUNK) -> ValidationReport:
+                          chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
     """Measured error against the regime bound on a log grid of n.
 
     Burn-in follows the regime's own recipe with the chain's certified
     constants; the check at each grid point is
     ``e1_hat <= bound(n) + margin * uncertainty``.
     """
-    model = _require_finite(
+    model = _finite_only(
         resolve_model(chain) if isinstance(chain, str) else chain,
         "bound-dominance")
     if start == "point-mass":
@@ -157,16 +157,18 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
             return gap_error_bound(n, delta, params.gap, f).total
     else:
         raise DomainError("regime must be 'uniform' or 'gap'")
+    windows = [(int(n), n0) for n in n_grid]
+    estimates = (estimate_e1_windows(model, values, windows, replications,
+                                     master_seed, chunk_elements)
+                 if windows else [])
     rows = []
-    for n in n_grid:
-        est = estimate_e1(model, values, int(n), n0, replications,
-                          master_seed, chunk_elements)
-        bound = bound_total(int(n))
+    for est in estimates:
+        bound = bound_total(est.n)
         rows.append(CheckRow(
             suite=f"bound-dominance-{regime}", chain=model.name,
-            check=f"dominance-n{int(n)}",
+            check=f"dominance-n{est.n}",
             passed=est.e1_hat <= bound + margin * est.uncertainty,
-            n=int(n), n0=n0, replications=replications,
+            n=est.n, n0=n0, replications=replications,
             e1_hat=est.e1_hat, uncertainty=est.uncertainty,
             bound_total=bound, seed=master_seed))
     return ValidationReport(
@@ -183,7 +185,7 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
                replications: int = 10_000, master_seed: int = 2024,
                slope_slack: float = 0.05, r2_floor: float = 0.98,
                margin: float = _DEFAULT_MARGIN,
-               chunk_elements: int = _DEFAULT_CHUNK) -> ValidationReport:
+               chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
     """Fit the empirical convergence rate of e1 for a singular integrand.
 
     The admissible slope window is ``[gamma - 1 - slack, 1/p - 1 + slack]``:
@@ -195,19 +197,15 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
         raise DomainError("the rate suite needs a continuous sampler")
     f = singular_f(gamma)
     model.lp_norm(f, p)  # fail fast if the moment diverges for this pair
-    rows = []
-    points = []
-    for n in n_grid:
-        est = estimate_e1(model, f, int(n), 0, replications, master_seed,
-                          chunk_elements)
-        points.append((int(n), est.e1_hat))
-        rows.append(CheckRow(
-            suite="rate", chain=getattr(model, "name", str(chain)),
-            check=f"e1-n{int(n)}", passed=est.e1_hat > 0.0,
-            n=int(n), n0=0, replications=replications,
-            e1_hat=est.e1_hat, uncertainty=est.uncertainty,
-            seed=master_seed))
-    fit = rate_regression(points)
+    estimates = estimate_e1_windows(model, f, [(n, 0) for n in n_grid],
+                                    replications, master_seed, chunk_elements)
+    rows = [CheckRow(suite="rate", chain=getattr(model, "name", str(chain)),
+                     check=f"e1-n{est.n}", passed=est.e1_hat > 0.0,
+                     n=est.n, n0=0, replications=replications,
+                     e1_hat=est.e1_hat, uncertainty=est.uncertainty,
+                     seed=master_seed)
+            for est in estimates]
+    fit = rate_regression([(est.n, est.e1_hat) for est in estimates])
     window = (gamma - 1.0 - slope_slack, 1.0 / p - 1.0 + slope_slack)
     slope_ok = window[0] <= fit.slope <= window[1]
     r2_ok = fit.r_squared >= r2_floor
@@ -231,7 +229,7 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
                  replications: int = 100_000, master_seed: int = 2024,
                  start: str = "point-mass",
                  margin: float = _DEFAULT_MARGIN,
-                 chunk_elements: int = _DEFAULT_CHUNK) -> ValidationReport:
+                 chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
     """Monte Carlo versus exhaustive enumeration on every small instance.
 
     For each chain, every (n, n0) with ``n + n0 <= max_total`` is checked:
@@ -239,7 +237,7 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
     """
     rows = []
     for source in chains:
-        model = _require_finite(
+        model = _finite_only(
             resolve_model(source) if isinstance(source, str) else source,
             "oracle")
         if start == "point-mass":
@@ -282,7 +280,7 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
     """
     rows = []
     for source in chains:
-        model = _require_finite(
+        model = _finite_only(
             resolve_model(source) if isinstance(source, str) else source,
             "constants")
         params = model.params
@@ -290,21 +288,16 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
         rows.append(CheckRow(
             suite="constants", chain=model.name, check="gap-vs-alpha",
             passed=gap >= 1.0 - params.alpha - 1e-10, seed=master_seed))
-        kernel = np.asarray(model.chain.transition)
-        pi = np.asarray(model.chain.stationary)
-        power = np.eye(model.chain.size)
-        certified = True
-        for n in range(1, horizon + 1):
-            power = power @ kernel
-            tv = 0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
-            allowance = max(params.alpha**n * params.big_m * (1 + 1e-9),
-                            TV_RESOLUTION)
-            if tv > allowance:
-                certified = False
-                break
+        certified = all(
+            tv <= max(params.alpha**n * params.big_m * (1 + 1e-9),
+                      TV_RESOLUTION)
+            for n, tv in enumerate(_worst_start_tv(model.chain, horizon),
+                                   start=1))
         rows.append(CheckRow(
             suite="constants", chain=model.name, check="tv-certification",
             passed=certified, n=horizon, seed=master_seed))
+        kernel = np.asarray(model.chain.transition)
+        pi = np.asarray(model.chain.stationary)
         balanced = True
         matrix_power = kernel
         for _ in range(2):

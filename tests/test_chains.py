@@ -32,6 +32,7 @@ from mcmc_budget.chains import (
     spectral_gap_exact,
     uniform_ergodicity_constants,
 )
+from mcmc_budget.chains import _uniform_draws
 from mcmc_budget.exceptions import (
     ChainValidationError,
     DivergenceError,
@@ -416,3 +417,11 @@ def test_derived_rng_streams_are_stable_and_distinct():
     b = derived_rng(42, 1).random(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+@pytest.mark.parametrize("width", [1, 5, 1000])
+def test_uniform_draws_rows_are_the_replication_streams(width):
+    draws = _uniform_draws([derived_rng(42, r) for r in range(4)], width)
+    assert draws.shape == (4, width)
+    for r, row in enumerate(draws):
+        assert np.array_equal(row, derived_rng(42, r).random(width))

@@ -148,6 +148,23 @@ class TestPlan:
         assert code == 2
         assert "--delta" in err
 
+    def test_infinite_dratio_names_dratio(self, capsys):
+        code, _, err = run_cli(
+            capsys, "plan", "--p", "1.3", "--eps", "0.1", "--gap", "0.01",
+            "--dratio", "inf")
+        assert code == 3
+        assert "dratio" in err and "delta" not in err
+
+    def test_non_integer_seed_variable_is_usage_error(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("MCMC_BUDGET_SEED", "abc")
+        code, out, err = run_cli(
+            capsys, "plan", "--p", "1.3", "--eps", "0.1", "--gap", "0.01",
+            "--dratio", "1e30")
+        assert code == 2
+        assert out == ""
+        assert "MCMC_BUDGET_SEED" in err
+
     def test_uniform_regime(self, capsys):
         request = PlanRequest(epsilon=0.88, gap=1.0, dratio=0.0,
                               f=FunctionClass(p=2.0, norm_p=1.0),
@@ -217,7 +234,7 @@ class TestSimulate:
 
     def test_trajectory_mode(self, capsys):
         model = make_chain("two-state")
-        values = model.trajectory_values(F01, 4, derived_rng(9, 0))
+        values = model.batch_values(F01, 4, [derived_rng(9, 0)])[0]
         code, out, _ = run_cli(
             capsys, "simulate", "--chain", "two-state", "--f", "0,1",
             "--n", "3", "--n0", "1", "--trajectory", "--seed", "9")
@@ -318,6 +335,14 @@ class TestValidateCommand:
         assert "failed checks" in err
         rows = parse_csv(out)
         assert any(row["passed"] == "fail" for row in rows)
+
+    @pytest.mark.parametrize("argv", [("validate",), ("simulate", "--n", "2")])
+    def test_missing_chain_file_is_usage_error(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "nosuch.json")
+        code, out, err = run_cli(capsys, *argv, "--chain", path)
+        assert code == 2
+        assert out == ""
+        assert path in err
 
     def test_bad_json_chain_names_invariant(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -11,6 +11,9 @@ import json
 import numpy as np
 import pytest
 
+from mcmc_budget.chains import (InitialDistribution, finite_model,
+                                make_chain, singular_f)
+from mcmc_budget.estimator import estimate_e1
 from mcmc_budget.exceptions import ChainValidationError, DomainError
 from mcmc_budget.validate import (
     CSV_COLUMNS,
@@ -130,3 +133,37 @@ class TestRateSuite:
         with pytest.raises(Exception, match="diverges"):
             rate_suite(gamma=0.8, p=1.5, n_grid=(10, 20, 40, 80),
                        replications=100)
+
+
+class TestOnePassPerGrid:
+    """A suite's single pass over its grid equals one pass per grid point."""
+
+    # the longest walk then runs in equal chunks of 100/100/101 (dominance)
+    # and 10/11/10/11/11 (rate) replications; the shorter ones in one chunk
+    CHUNK = 123_457
+
+    def test_bound_dominance_rows(self):
+        report = bound_dominance_suite(n_grid=(10, 100, 1000),
+                                       replications=301, master_seed=3,
+                                       chunk_elements=self.CHUNK)
+        base = make_chain("two-state")
+        # the suite restarts from the least likely state, state 1
+        model = finite_model(base.chain,
+                             InitialDistribution.point_mass(1, base.chain))
+        assert [row.n for row in report.rows] == [10, 100, 1000]
+        for row in report.rows:
+            est = estimate_e1(model, np.arange(2.0), row.n, row.n0, 301, 3,
+                              self.CHUNK)
+            assert (row.e1_hat, row.uncertainty) == \
+                (est.e1_hat, est.uncertainty)
+
+    def test_rate_rows(self):
+        report = rate_suite(n_grid=(10, 100, 1000, 10000), replications=53,
+                            master_seed=3, chunk_elements=self.CHUNK)
+        rows = [row for row in report.rows if row.n is not None]
+        assert [row.n for row in rows] == [10, 100, 1000, 10000]
+        for row in rows:
+            est = estimate_e1(make_chain("iid-uniform"), singular_f(0.65),
+                              row.n, 0, 53, 3, self.CHUNK)
+            assert (row.e1_hat, row.uncertainty) == \
+                (est.e1_hat, est.uncertainty)

@@ -10,7 +10,12 @@ variance is infinite, which no finite state space can produce.
 
 Randomness is counter-based (Philox) and derived per replication from a
 master seed, so every simulation is reproducible independently of execution
-order, chunking, or thread count.
+order, chunking, or thread count.  Replication ``r`` of master seed ``s``
+draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  The Philox
+keys of a whole chunk of replications are derived in one vectorised pass
+that reproduces numpy's ``SeedSequence`` hash, and one generator is re-keyed
+per replication, so every stream is the one the per-replication
+``SeedSequence`` gives.
 """
 from __future__ import annotations
 
@@ -55,6 +60,9 @@ _TV_HORIZON = 200
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 _BALANCE_TOL = 1e-10
+# columns of draws per time-major block; even, so that a block holds whole
+# (proposal, acceptance) pairs of the independence sampler
+_STEP_BLOCK = 256
 
 # Below this total-variation level, float64 matrix powers measure the
 # rounding of the matrix entries rather than chain convergence (a matrix
@@ -63,11 +71,106 @@ _BALANCE_TOL = 1e-10
 TV_RESOLUTION = 64.0 * float(np.finfo(float).eps)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _word_hasher(const: int, mult: int):
+    """SeedSequence's word hash with its running constant.
+
+    Each call XORs the word with the constant, advances the constant,
+    multiplies by the new one and folds the high half into the low half.
+    Words may be Python ints or uint32 arrays; arithmetic is modulo 2**32.
+    """
+    def hash_word(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) \
+        & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Philox keys of replications ``start .. stop-1``, one row each.
+
+    Row ``i`` equals ``SeedSequence(entropy=master_seed, spawn_key=(start +
+    i,)).generate_state(2, np.uint64)``.  The master seed's words are
+    hashed into the pool once, as scalars; only the spawn-key word and the
+    output hash run over the replications, as uint32 arrays.  Indices
+    must be below 2**32, where numpy's spawn key is a single word.
+    """
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise DomainError("master seed must be a nonnegative integer")
+    master_seed = int(master_seed)
+    if not 0 <= start <= stop <= 2**32:
+        raise DomainError("replication indices must lie in [0, 2**32)")
+    words = [master_seed & _MASK32]
+    while master_seed > _MASK32:
+        master_seed >>= 32
+        words.append(master_seed & _MASK32)
+    # numpy pads the run entropy to the pool size when a spawn key follows
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_word = _word_hasher(_INIT_A, _MULT_A)
+    pool = [hash_word(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_word(pool[src]))
+    # the remaining run-entropy words, then the spawn key: one word, r
+    index = np.arange(start, stop, dtype=np.uint32)
+    for word in words[_POOL_SIZE:] + [index]:
+        pool = [_mix(entry, hash_word(word)) for entry in pool]
+    hash_out = _word_hasher(_INIT_B, _MULT_B)
+    out = [hash_out(entry).astype(np.uint64) for entry in pool]
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+
+
 def derived_rng(master_seed: int, replication: int) -> np.random.Generator:
-    """Counter-based generator for one replication of one experiment."""
-    seq = np.random.SeedSequence(entropy=master_seed,
-                                 spawn_key=(replication,))
-    return np.random.Generator(np.random.Philox(seq))
+    """Counter-based generator for one replication of one experiment.
+
+    It draws the stream of ``Philox(SeedSequence(entropy=master_seed,
+    spawn_key=(replication,)))``.
+    """
+    key = _stream_keys(master_seed, replication, replication + 1)[0]
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class _ReplicationStreams:
+    """The generators of replications ``start .. stop-1``, in order.
+
+    One Philox generator serves every replication: before each item it is
+    re-keyed to counter 0 with an empty buffer, the state a fresh
+    :func:`derived_rng` starts in.  Every item is the same ``Generator``,
+    valid until the next item is taken, so draw from it before advancing.
+    """
+
+    def __init__(self, master_seed: int, start: int, stop: int):
+        self._keys = _stream_keys(master_seed, start, stop).tolist()
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        for key in self._keys:
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": (0, 0, 0, 0), "key": key},
+                            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _uniform_draws(rngs, width: int) -> np.ndarray:
@@ -128,9 +231,9 @@ class FiniteChain:
         self.transition = _frozen_array(k)
         self.stationary = _frozen_array(pi)
         self.reversible = bool(reversible)
-        cum = np.cumsum(k, axis=1)
-        cum[:, -1] = 1.0
-        self._cum_rows = _frozen_array(cum)
+        # _cum_cols[j, x] is P(X' <= j | X = x) for j < S - 1; the last
+        # CDF entry, 1.0, is left out (see _batch_states)
+        self._cum_cols = _frozen_array(np.cumsum(k, axis=1)[:, :-1].T)
 
     @property
     def size(self) -> int:
@@ -285,19 +388,38 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution, length: int,
     """State trajectories, one row per generator, by inverse-CDF stepping.
 
     Row ``r`` depends only on ``rngs[r]``, so results are identical however
-    replications are grouped into batches.
+    replications are grouped into batches.  A state is the count of CDF
+    entries below its draw; the last entry is 1.0 and never below a draw in
+    [0, 1), so only the ``S - 1`` entries before it are compared.
     """
     draws = _uniform_draws(rngs, length)
-    states = np.empty((len(rngs), length), dtype=np.int64)
-    cum_nu = np.cumsum(nu.nu)
-    cum_nu[-1] = 1.0
-    x = (cum_nu[None, :] < draws[:, 0:1]).sum(axis=1)
+    # the states overwrite the draws they are stepped from: a column is
+    # written only after it has been read (column 0) or copied (blocks)
+    states = draws.view(np.int64)
+    cum_nu = np.cumsum(nu.nu)[:-1]
+    x = (cum_nu[:, None] < draws[:, 0]).sum(axis=0)
     states[:, 0] = x
-    cum_rows = chain._cum_rows
-    for t in range(1, length):
-        x = (cum_rows[x, :] < draws[:, t:t + 1]).sum(axis=1)
-        states[:, t] = x
+    cum_cols = chain._cum_cols
+    for start, block in _time_major_blocks(draws, 1):
+        stepped = np.empty(block.shape, dtype=np.int64)
+        for t, u in enumerate(block):
+            x = stepped[t] = (cum_cols.take(x, axis=1) < u).sum(axis=0)
+        states[:, start:start + len(stepped)] = stepped.T
     return states
+
+
+def _time_major_blocks(draws: np.ndarray, first: int):
+    """``(start, block)`` for the columns of ``draws`` from ``first`` on.
+
+    ``block`` is a C-contiguous copy of ``draws[:, start:start + width].T``
+    with ``width`` at most :data:`_STEP_BLOCK`, so that a time step, which
+    reads one draw per row, reads a contiguous vector; and the block is
+    small enough that its transposition and the write-back of the stepped
+    block stay in cache.
+    """
+    for start in range(first, draws.shape[1], _STEP_BLOCK):
+        yield start, np.ascontiguousarray(
+            draws[:, start:start + _STEP_BLOCK].T)
 
 
 def simulate_trajectory(chain: FiniteChain, nu: InitialDistribution,
@@ -436,14 +558,18 @@ class IndepMHSampler(_ContinuousSampler):
         # per step; row r consumes only rngs[r], keeping batching irrelevant
         draws = _uniform_draws(rngs, 2 * length - 1)
         x = self.target.inverse_cdf(draws[:, 0])
-        values = np.empty((len(rngs), length))
+        values = np.empty((draws.shape[0], length))
         values[:, 0] = f(x)
-        for t in range(1, length):
-            proposal = draws[:, 2 * t - 1]
-            toss = draws[:, 2 * t]
-            accept = toss * self.target.pdf(x) <= self.target.pdf(proposal)
-            x = np.where(accept, proposal, x)
-            values[:, t] = f(x)
+        for start, block in _time_major_blocks(draws, 1):
+            stepped = np.empty((len(block) // 2, block.shape[1]))
+            for t, (proposal, toss) in enumerate(zip(block[0::2],
+                                                     block[1::2])):
+                accept = toss * self.target.pdf(x) <= \
+                    self.target.pdf(proposal)
+                x = np.where(accept, proposal, x)
+                stepped[t] = f(x)
+            step = (start + 1) // 2   # columns 2t-1 and 2t drive step t
+            values[:, step:step + len(stepped)] = stepped.T
         return values
 
 

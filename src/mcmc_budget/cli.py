@@ -33,7 +33,7 @@ from .bounds import (
     refined_uniform_bound,
     uniform_error_bound,
 )
-from .chains import FiniteChainModel, derived_rng, singular_f
+from .chains import FiniteChainModel, _ReplicationStreams, singular_f
 from .estimator import DEFAULT_CHUNK_ELEMENTS, estimate_e1
 from .exceptions import McmcBudgetError
 from .planner import PlanRequest, budget_for_delta, budget_table, delta_hat, \
@@ -107,16 +107,23 @@ def _emit(args, columns, rows, json_payload) -> None:
                              for column in columns])
         text = buffer.getvalue()
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise _UsageError(
+                f"cannot write --output {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
 
-def _parse_grid(text: str) -> tuple:
+def _parse_grid(text: str, flag: str) -> tuple:
     try:
-        return tuple(int(token) for token in text.split(",") if token)
+        grid = tuple(int(token) for token in text.split(",") if token)
     except ValueError:
         raise _UsageError(f"cannot parse integer grid from {text!r}")
+    if not grid:
+        raise _UsageError(f"{flag} needs at least one grid point")
+    return grid
 
 
 def _parse_values(text: str) -> np.ndarray:
@@ -280,7 +287,8 @@ def cmd_simulate(args) -> int:
     f = _simulation_function(args, model)
     if args.trajectory:
         length = args.n + args.n0
-        values = model.batch_values(f, length, [derived_rng(args.seed, 0)])[0]
+        values = model.batch_values(
+            f, length, _ReplicationStreams(args.seed, 0, 1))[0]
         rows = [{"chain": args.chain, "step": step + 1,
                  "value": float(value), "seed": args.seed}
                 for step, value in enumerate(values)]
@@ -310,6 +318,11 @@ def _suites_for(args, model) -> list:
                  else ["rate"])
     else:
         names = [args.suite]
+    # parse the grids before any suite runs
+    if "bound-dominance" in names:
+        n_grid = _parse_grid(args.n_grid, "--n-grid")
+    if "rate" in names:
+        rate_grid = _parse_grid(args.rate_grid, "--rate-grid")
     reports = []
     for name in names:
         if name == "constants":
@@ -326,7 +339,7 @@ def _suites_for(args, model) -> list:
                            else ["uniform", "gap"]):
                 reports.append(bound_dominance_suite(
                     chain=args.chain, regime=regime,
-                    n_grid=_parse_grid(args.n_grid),
+                    n_grid=n_grid,
                     replications=args.replications, master_seed=args.seed,
                     p=p, delta=args.delta, start=args.start,
                     chunk_elements=args.chunk_elements))
@@ -334,7 +347,7 @@ def _suites_for(args, model) -> list:
             p = args.p if args.p is not None else 1.5
             reports.append(rate_suite(
                 chain=args.chain, gamma=args.gamma, p=p,
-                n_grid=_parse_grid(args.rate_grid),
+                n_grid=rate_grid,
                 replications=args.replications, master_seed=args.seed,
                 chunk_elements=args.chunk_elements))
         else:
@@ -366,23 +379,34 @@ def cmd_validate(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _default_seed() -> int:
     raw = os.environ.get("MCMC_BUDGET_SEED")
     if not raw:
         return _DEFAULT_SEED
     try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(
-            f"MCMC_BUDGET_SEED must be an integer, got {raw!r}")
+        return _seed(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"MCMC_BUDGET_SEED {exc}")
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="JSON file with flag defaults")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write output to this path")
-    parser.add_argument("--seed", type=int, default=_default_seed(),
-                        help="master seed (env MCMC_BUDGET_SEED)")
+    parser.add_argument("--seed", type=_seed, default=_default_seed(),
+                        help="master seed, a nonnegative integer "
+                             "(env MCMC_BUDGET_SEED)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import _ReplicationStreams
 from .exceptions import DomainError
 
 __all__ = [
@@ -108,8 +109,6 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
             raise DomainError("n0 must be nonnegative")
     if replications < 2:
         raise DomainError("at least 2 replications are required")
-    from .chains import derived_rng
-
     mu = model.expectation(f)
     length = max(n + n0 for n, n0 in windows)
     rows_per_chunk = max(1, int(chunk_elements) // length)
@@ -119,8 +118,7 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
         start = chunk * replications // chunks
         stop = (chunk + 1) * replications // chunks
         values = model.batch_values(
-            f, length, [derived_rng(master_seed, rep)
-                        for rep in range(start, stop)])
+            f, length, _ReplicationStreams(master_seed, start, stop))
         for k, (n, n0) in enumerate(windows):
             deviations[k, start:stop] = np.abs(
                 values[:, n0:n0 + n].mean(axis=1) - mu)

@@ -32,7 +32,12 @@ from mcmc_budget.chains import (
     spectral_gap_exact,
     uniform_ergodicity_constants,
 )
-from mcmc_budget.chains import _uniform_draws
+from mcmc_budget.chains import (
+    _batch_states,
+    _ReplicationStreams,
+    _stream_keys,
+    _uniform_draws,
+)
 from mcmc_budget.exceptions import (
     ChainValidationError,
     DivergenceError,
@@ -425,3 +430,101 @@ def test_uniform_draws_rows_are_the_replication_streams(width):
     assert draws.shape == (4, width)
     for r, row in enumerate(draws):
         assert np.array_equal(row, derived_rng(42, r).random(width))
+
+
+# ---------------------------------------------------------------------------
+# vectorised stream derivation and time-major stepping
+
+
+def _seed_sequence_rng(master_seed, replication):
+    """The per-replication stream as numpy spawns it."""
+    seq = np.random.SeedSequence(entropy=master_seed,
+                                 spawn_key=(replication,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@pytest.mark.parametrize("master_seed", [
+    0, 1, 2**32, 2**130 + 7,
+    *np.random.default_rng(2024).integers(0, 2**62, 4).tolist()])
+@pytest.mark.parametrize("start, stop", [(0, 40), (2**20, 2**20 + 9),
+                                         (2**32 - 5, 2**32)])
+def test_stream_keys_match_seed_sequence(master_seed, start, stop):
+    keys = _stream_keys(master_seed, start, stop)
+    assert keys.shape == (stop - start, 2)
+    assert keys.dtype == np.uint64
+    for row, replication in zip(keys, range(start, stop)):
+        want = np.random.SeedSequence(
+            entropy=master_seed,
+            spawn_key=(replication,)).generate_state(2, np.uint64)
+        assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("master_seed, start, stop", [
+    (-1, 0, 3), (1.5, 0, 3), (5, -1, 3), (5, 2**32 - 1, 2**32 + 1)])
+def test_stream_keys_reject_bad_seeds_and_indices(master_seed, start, stop):
+    # numpy spawns an index of 2**32 or more with a two-word key
+    with pytest.raises(DomainError):
+        _stream_keys(master_seed, start, stop)
+
+
+@pytest.mark.parametrize("width", [1, 8, 1000])
+def test_rekeyed_streams_are_the_seed_sequence_streams(width):
+    streams = _ReplicationStreams(2024, 5, 17)
+    assert len(streams) == 12
+    draws = _uniform_draws(streams, width)
+    assert np.array_equal(
+        draws, _uniform_draws([derived_rng(2024, r) for r in range(5, 17)],
+                              width))
+    for r, row in zip(range(5, 17), draws):
+        assert np.array_equal(row, _seed_sequence_rng(2024, r).random(width))
+
+
+def _reference_states(chain, nu, length, master_seed, rows):
+    """One walk per row by plain inverse-CDF stepping, a step at a time."""
+    cum_nu = np.cumsum(nu.nu)
+    cum_nu[-1] = 1.0
+    cum_rows = np.cumsum(chain.transition, axis=1)
+    cum_rows[:, -1] = 1.0
+    states = np.empty((rows, length), dtype=np.int64)
+    for r in range(rows):
+        u = derived_rng(master_seed, r).random(length)
+        x = int((cum_nu < u[0]).sum())
+        states[r, 0] = x
+        for t in range(1, length):
+            x = int((cum_rows[x] < u[t]).sum())
+            states[r, t] = x
+    return states
+
+
+@pytest.mark.parametrize("model", [
+    make_chain("two-state"),
+    make_chain("lazy-cycle-50"),
+    # row 0's trailing zeros put an inner CDF entry at exactly 1.0
+    load_chain({"matrix": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0],
+                           [0.0, 0.5, 0.25, 0.25], [0.0, 0.0, 0.5, 0.5]],
+                "nu": [1.0, 0.0, 0.0, 0.0]}),
+], ids=["two-state", "lazy-cycle-50", "zero-tail-json"])
+def test_time_major_stepping_matches_per_row_reference(model):
+    length, rows = 301, 9   # more steps than one time-major block
+    got = _batch_states(model.chain, model.nu, length,
+                        _ReplicationStreams(31, 0, rows))
+    want = _reference_states(model.chain, model.nu, length, 31, rows)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_indep_mh_values_do_not_depend_on_chunking():
+    s = make_chain("indep-mh-2x")
+    f = singular_f(0.65)
+    whole = s.batch_values(f, 300, _ReplicationStreams(13, 0, 40))
+    pieces = np.vstack([s.batch_values(f, 300, _ReplicationStreams(13, a, b))
+                        for a, b in ((0, 1), (1, 17), (17, 40))])
+    assert whole.flags.c_contiguous
+    assert np.array_equal(whole, pieces)
+    # row 3 against a scalar walk over its own stream
+    u = derived_rng(13, 3).random(599)
+    x = math.sqrt(u[0])
+    for t in range(1, 300):
+        if u[2 * t] * 2 * x <= 2 * u[2 * t - 1]:
+            x = u[2 * t - 1]
+        assert whole[3, t] == pytest.approx(x ** -0.65, rel=1e-14)

@@ -165,6 +165,31 @@ class TestPlan:
         assert out == ""
         assert "MCMC_BUDGET_SEED" in err
 
+    @pytest.mark.parametrize("spelling", ["flag", "variable"])
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch,
+                                          spelling):
+        argv = ["simulate", "--chain", "two-state", "--n", "5",
+                "--replications", "10"]
+        if spelling == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("MCMC_BUDGET_SEED", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert ("--seed" if spelling == "flag" else "MCMC_BUDGET_SEED") in err
+        assert "Traceback" not in err
+
+    def test_output_into_missing_directory_is_usage_error(self, capsys,
+                                                          tmp_path):
+        path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(
+            capsys, "plan", "--p", "1.3", "--eps", "0.1", "--gap", "0.01",
+            "--dratio", "1e30", "--output", path)
+        assert code == 2
+        assert out == ""
+        assert path in err
+
     def test_uniform_regime(self, capsys):
         request = PlanRequest(epsilon=0.88, gap=1.0, dratio=0.0,
                               f=FunctionClass(p=2.0, norm_p=1.0),
@@ -335,6 +360,19 @@ class TestValidateCommand:
         assert "failed checks" in err
         rows = parse_csv(out)
         assert any(row["passed"] == "fail" for row in rows)
+
+    @pytest.mark.parametrize("chain, flag, grid", [
+        ("two-state", "--n-grid", ""), ("two-state", "--n-grid", ","),
+        ("iid-uniform", "--rate-grid", ""),
+        ("iid-uniform", "--rate-grid", ","),
+    ])
+    def test_empty_grid_is_usage_error(self, capsys, chain, flag, grid):
+        code, out, err = run_cli(
+            capsys, "validate", "--chain", chain, "--replications", "10",
+            flag, grid)
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
     @pytest.mark.parametrize("argv", [("validate",), ("simulate", "--n", "2")])
     def test_missing_chain_file_is_usage_error(self, capsys, tmp_path, argv):

@@ -15,7 +15,8 @@ draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  The Philox
 keys of a whole chunk of replications are derived in one vectorised pass
 that reproduces numpy's ``SeedSequence`` hash, and one generator is re-keyed
 per replication, so every stream is the one the per-replication
-``SeedSequence`` gives.
+``SeedSequence`` gives.  Short draws skip the generator: a numpy Philox
+block function computes them for the whole chunk from the same keys.
 """
 from __future__ import annotations
 
@@ -154,18 +155,19 @@ class _ReplicationStreams:
     re-keyed to counter 0 with an empty buffer, the state a fresh
     :func:`derived_rng` starts in.  Every item is the same ``Generator``,
     valid until the next item is taken, so draw from it before advancing.
+    ``keys`` holds the streams' Philox keys, one row each.
     """
 
     def __init__(self, master_seed: int, start: int, stop: int):
-        self._keys = _stream_keys(master_seed, start, stop).tolist()
+        self.keys = _stream_keys(master_seed, start, stop)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     def __iter__(self):
         bitgen = np.random.Philox(0)
         rng = np.random.Generator(bitgen)
-        for key in self._keys:
+        for key in self.keys.tolist():
             bitgen.state = {"bit_generator": "Philox",
                             "state": {"counter": (0, 0, 0, 0), "key": key},
                             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
@@ -173,9 +175,83 @@ class _ReplicationStreams:
             yield rng
 
 
+# Philox4x64-10 (Salmon et al., SC 2011) as numpy's Philox computes it.
+# The two multiplied counter words (0 and 2) are kept together as lanes
+# 0 and 1 of one array, with their multipliers and key bumps as columns.
+_U32, _U11 = np.uint64(32), np.uint64(11)
+_LOW32 = np.uint64(_MASK32)
+_PHILOX_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                        dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                        dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_ROUNDS = 10
+# rows per pass of the block function: its temporaries stay in cache
+_PHILOX_SLICE = 2048
+# the widest draw the block function serves (four Philox blocks); wider
+# rows are cheaper through one re-keyed C generator per row
+_PHILOX_MAX_WIDTH = 16
+
+
+def _mulhilo(words: np.ndarray):
+    """High and low 64-bit halves of ``_PHILOX_MULT * words``.
+
+    The high half is assembled from products of 32-bit halves, none of
+    which overflows 64 bits; the low half is the wrapping product.
+    """
+    m_lo, m_hi = _PHILOX_MULT & _LOW32, _PHILOX_MULT >> _U32
+    w_lo, w_hi = words & _LOW32, words >> _U32
+    mid = w_hi * m_lo
+    mid += (w_lo * m_lo) >> _U32
+    cross = w_lo * m_hi
+    cross += mid & _LOW32
+    high = w_hi * m_hi
+    high += mid >> _U32
+    high += cross >> _U32
+    return high, words * _PHILOX_MULT
+
+
+def _philox_uniforms(keys: np.ndarray, width: int) -> np.ndarray:
+    """``width`` uniforms per Philox key: row ``r`` is bit for bit
+    ``np.random.Generator(np.random.Philox(key=keys[r])).random(width)``.
+
+    Block ``b`` of a stream is the Philox4x64-10 image of the counter
+    ``(b + 1, 0, 0, 0)``; its four words are the stream's next four 64-bit
+    outputs, and a double is the top 53 bits of a word times 2**-53.
+    Every block of up to :data:`_PHILOX_SLICE` rows is computed in one
+    array pass.
+    """
+    blocks = -(-width // 4)
+    draws = np.empty((len(keys), width))
+    for start in range(0, len(keys), _PHILOX_SLICE):
+        key = keys[start:start + _PHILOX_SLICE].T[:, :, None]
+        rows = key.shape[1]
+        # counter words (0, 2) as lanes of `mixed`, words (1, 3) of `passed`
+        mixed = np.zeros((2, rows, blocks), dtype=np.uint64)
+        mixed[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+        passed = np.zeros_like(mixed)
+        for step in range(_PHILOX_ROUNDS):
+            if step:
+                key = key + _PHILOX_BUMP
+            high, low = _mulhilo(mixed)
+            mixed = high[::-1] ^ passed
+            mixed ^= key
+            passed = low[::-1]
+        words = np.stack([mixed[0], passed[0], mixed[1], passed[1]], axis=2)
+        np.multiply(words.reshape(rows, -1)[:, :width] >> _U11, 2.0**-53,
+                    out=draws[start:start + rows])
+    return draws
+
+
 def _uniform_draws(rngs, width: int) -> np.ndarray:
-    """``width`` uniforms per generator, written in place: row ``r`` holds
-    exactly what ``rngs[r].random(width)`` would return."""
+    """``width`` uniforms per generator: row ``r`` holds exactly what
+    ``rngs[r].random(width)`` would return.
+
+    Replication streams of at most :data:`_PHILOX_MAX_WIDTH` draws come
+    from the numpy block function; other rows are written in place by
+    their generators.
+    """
+    if isinstance(rngs, _ReplicationStreams) and width <= _PHILOX_MAX_WIDTH:
+        return _philox_uniforms(rngs.keys, width)
     draws = np.empty((len(rngs), width))
     for rng, row in zip(rngs, draws):
         rng.random(out=row)
@@ -484,8 +560,8 @@ class SingularFunction:
     def kappa(self) -> float:
         return 1.0 / self.gamma
 
-    def __call__(self, x):
-        return np.power(x, -self.gamma)
+    def __call__(self, x, out=None):
+        return np.power(x, -self.gamma, out=out)
 
     def expectation(self, density: PowerLawDensity | None = None) -> float:
         density = density or _UNIFORM
@@ -532,8 +608,11 @@ class IidUniformSampler(_ContinuousSampler):
         self.params = ChainParams(gap=1.0, alpha=0.0, big_m=1.0, dratio=0.0,
                                   reversible=True)
 
-    def batch_values(self, f, length: int, rngs) -> np.ndarray:
-        return f(_uniform_draws(rngs, length))
+    def batch_values(self, f: SingularFunction, length: int,
+                     rngs) -> np.ndarray:
+        # the values overwrite their draws: one matrix per chunk, not two
+        draws = _uniform_draws(rngs, length)
+        return f(draws, out=draws)
 
 
 class IndepMHSampler(_ContinuousSampler):

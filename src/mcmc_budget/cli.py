@@ -519,36 +519,79 @@ def _collect_destinations(parser: argparse.ArgumentParser) -> set:
     return names
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A ``--config`` value as its flag would give it, or a usage error.
+
+    Strings and numbers go through the flag's ``type`` (in their JSON
+    spelling) and ``choices``; a switch takes a JSON boolean, and a flag
+    whose default is unset also takes null.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise _UsageError(f"config key {key!r} must be true or false, "
+                              f"got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise _UsageError(f"config key {key!r} takes a flag value, "
+                          f"got {value!r}")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        converted = action.type(text) if action.type else text
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        raise _UsageError(f"config key {key!r}: invalid value {value!r}")
+    if action.choices is not None and converted not in action.choices:
+        raise _UsageError(f"config key {key!r} must be one of "
+                          f"{', '.join(map(str, action.choices))}, "
+                          f"got {value!r}")
+    return converted
+
+
+def _install_config(parser: argparse.ArgumentParser, argv: list) -> None:
+    """Install the ``--config`` file's values as defaults of every parser.
+
+    Values for the command's own flags are checked and converted as the
+    flags would be; keys that are flags of no command are rejected.
+    """
+    config_probe = argparse.ArgumentParser(add_help=False)
+    config_probe.add_argument("--config")
+    found, _ = config_probe.parse_known_args(argv)
+    if not found.config:
+        return
+    try:
+        loaded = json.loads(Path(found.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(f"cannot read config: {exc}")
+    if not isinstance(loaded, dict):
+        raise _UsageError("config must be a JSON object")
+    unknown = set(loaded) - _collect_destinations(parser)
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    # the top-level parser takes no option but help, so a command comes
+    # first; without one, parsing fails or prints help below
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    command = subparsers.choices.get(argv[0]) if argv else None
+    if command is not None:
+        actions = {action.dest: action for action in command._actions}
+        loaded = {key: _config_value(actions[key], key, value)
+                  if key in actions else value
+                  for key, value in loaded.items()}
+    # subparsers parse into a fresh namespace, so the defaults must be
+    # installed on every parser, not just the top-level one
+    for current in _walk_parsers(parser):
+        current.set_defaults(**loaded)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         parser = build_parser()
+        _install_config(parser, argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    config_probe = argparse.ArgumentParser(add_help=False)
-    config_probe.add_argument("--config")
-    found, _ = config_probe.parse_known_args(argv)
-    if found.config:
-        try:
-            loaded = json.loads(Path(found.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"usage error: cannot read config: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not isinstance(loaded, dict):
-            print("usage error: config must be a JSON object",
-                  file=sys.stderr)
-            return 2
-        unknown = set(loaded) - _collect_destinations(parser)
-        if unknown:
-            print(f"usage error: unknown config keys: {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
-        # subparsers parse into a fresh namespace, so the defaults must be
-        # installed on every parser, not just the top-level one
-        for current in _walk_parsers(parser):
-            current.set_defaults(**loaded)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -126,14 +126,31 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     return deviations
 
 
-def _estimate(deviations: np.ndarray, n: int, n0: int) -> ErrorEstimate:
-    blocks = min(_UNCERTAINTY_BLOCKS, deviations.shape[0])
-    means = [float(np.mean(block))
-             for block in np.array_split(deviations, blocks)]
-    q1, q3 = np.percentile(means, [25.0, 75.0])
-    return ErrorEstimate(e1_hat=float(np.mean(deviations)),
-                         uncertainty=0.5 * float(q3 - q1),
-                         replications=deviations.shape[0], n=n, n0=n0)
+def _estimates(deviations: np.ndarray, windows) -> list:
+    """One :class:`ErrorEstimate` per row of ``deviations``.
+
+    The spread is half the interquartile range of the means of
+    ``min(20, replications)`` contiguous blocks, split as
+    ``np.array_split`` splits: the first ``replications % blocks`` blocks
+    hold one replication more.  The block means and quartiles of every
+    window are taken in one pass each; a row's figures are bit for bit
+    those of that row on its own.
+    """
+    replications = deviations.shape[1]
+    blocks = min(_UNCERTAINTY_BLOCKS, replications)
+    size, longer = divmod(replications, blocks)
+    split = longer * (size + 1)
+    means = np.concatenate([
+        deviations[:, :split].reshape(len(deviations), longer, size + 1)
+        .mean(axis=2),
+        deviations[:, split:].reshape(len(deviations), blocks - longer, size)
+        .mean(axis=2)], axis=1)
+    q1, q3 = np.percentile(means, [25.0, 75.0], axis=1)
+    e1_hat = deviations.mean(axis=1)
+    return [ErrorEstimate(e1_hat=float(e1_hat[k]),
+                          uncertainty=0.5 * float(q3[k] - q1[k]),
+                          replications=replications, n=n, n0=n0)
+            for k, (n, n0) in enumerate(windows)]
 
 
 def abs_deviations(model, f, n: int, n0: int, replications: int,
@@ -162,17 +179,16 @@ def estimate_e1_windows(model, f, windows, replications: int,
     on its own.
     """
     windows = [(int(n), int(n0)) for n, n0 in windows]
-    deviations = _deviations(model, f, windows, replications, master_seed,
-                             chunk_elements)
-    return [_estimate(dev, n, n0) for (n, n0), dev in zip(windows, deviations)]
+    return _estimates(_deviations(model, f, windows, replications,
+                                  master_seed, chunk_elements), windows)
 
 
 def estimate_e1(model, f, n: int, n0: int, replications: int,
                 master_seed: int,
                 chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ErrorEstimate:
     """Replicated Monte Carlo estimate of ``E|S - mu|``."""
-    return _estimate(abs_deviations(model, f, n, n0, replications,
-                                    master_seed, chunk_elements), n, n0)
+    return estimate_e1_windows(model, f, [(n, n0)], replications,
+                               master_seed, chunk_elements)[0]
 
 
 def estimate_ep(model, f, n: int, n0: int, p: float, replications: int,

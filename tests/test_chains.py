@@ -34,6 +34,7 @@ from mcmc_budget.chains import (
 )
 from mcmc_budget.chains import (
     _batch_states,
+    _philox_uniforms,
     _ReplicationStreams,
     _stream_keys,
     _uniform_draws,
@@ -467,7 +468,21 @@ def test_stream_keys_reject_bad_seeds_and_indices(master_seed, start, stop):
         _stream_keys(master_seed, start, stop)
 
 
-@pytest.mark.parametrize("width", [1, 8, 1000])
+@pytest.mark.parametrize("master_seed", [0, 2**32, 2**130 + 7])
+@pytest.mark.parametrize("rows", [1, 2049, 4097])
+def test_philox_block_function_is_numpy_philox(master_seed, rows):
+    # 2049 and 4097 rows cross one and two row-slice boundaries; a narrower
+    # draw is a prefix of a wider one on the same stream
+    keys = _stream_keys(master_seed, 0, rows)
+    want = np.array([np.random.Generator(np.random.Philox(key=key)).random(17)
+                     for key in keys])
+    for width in range(1, 18):
+        got = _philox_uniforms(keys, width)
+        assert got.shape == (rows, width)
+        assert np.array_equal(got, want[:, :width])
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 17, 1000])
 def test_rekeyed_streams_are_the_seed_sequence_streams(width):
     streams = _ReplicationStreams(2024, 5, 17)
     assert len(streams) == 12

@@ -425,6 +425,36 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("values, key", [
+        ({"replications": [1]}, "replications"),
+        ({"seed": -1}, "seed"),
+        ({"n0": 2.5}, "n0"),
+        ({"format": "xml"}, "format"),
+        ({"trajectory": "yes"}, "trajectory"),
+    ], ids=["list", "negative-seed", "float-for-int", "choice", "switch"])
+    def test_config_values_are_checked_like_flags(self, capsys, tmp_path,
+                                                  values, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli(
+            capsys, "simulate", "--chain", "two-state", "--n", "3",
+            "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key {key!r}" in err
+
+    def test_config_values_convert_like_flags(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dratio": 0, "delta": 0.2}))
+        bound = ("bound", "--regime", "gap", "--n", "1e8", "--p", "1.5",
+                 "--norm", "1", "--gap", "0.01")
+        code, from_config, _ = run_cli(capsys, *bound, "--config",
+                                       str(config))
+        _, explicit, _ = run_cli(capsys, *bound, "--dratio", "0",
+                                 "--delta", "0.2")
+        assert code == 0
+        assert from_config == explicit
+
     def test_malformed_config_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

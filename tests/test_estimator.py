@@ -155,6 +155,24 @@ class TestEstimateE1Windows:
             assert est == estimate_e1(sampler, f, n, n0, replications=300,
                                       master_seed=7)
 
+    @pytest.mark.parametrize("replications", [2, 7, 37, 20011])
+    def test_batched_reduction_is_the_per_window_definition(self,
+                                                            replications):
+        # every window with n + n0 <= 8, as the oracle suite asks for them;
+        # 37 and 20011 replications split into blocks of unequal size
+        model = make_chain("lazy-cycle-3")
+        f = np.array([0.0, 1.0, 5.0])
+        windows = [(n, n0) for n in range(1, 9) for n0 in range(9 - n)]
+        batched = estimate_e1_windows(model, f, windows, replications, 3)
+        for (n, n0), est in zip(windows, batched):
+            assert est == estimate_e1(model, f, n, n0, replications, 3)
+            devs = abs_deviations(model, f, n, n0, replications, 3)
+            means = [np.mean(block) for block in
+                     np.array_split(devs, min(20, replications))]
+            q1, q3 = np.percentile(means, [25.0, 75.0])
+            assert est.e1_hat == np.mean(devs)
+            assert est.uncertainty == 0.5 * (q3 - q1)
+
     def test_rejects_empty_and_bad_windows(self):
         model = two_state_model()
         with pytest.raises(DomainError):

@@ -408,7 +408,9 @@ def spectral_gap_exact(chain: FiniteChain) -> float:
             "the exact spectral gap needs a reversible chain")
     pi = chain.stationary
     if (pi <= 0).any():
-        raise DomainError("stationary distribution must be strictly positive")
+        # an irreducible chain puts positive stationary mass on every state
+        raise DomainError("chain is reducible (its stationary distribution "
+                          "has a zero entry)")
     root = np.sqrt(pi)
     sym = (root[:, None] / root[None, :]) * chain.transition
     sym = 0.5 * (sym + sym.T)

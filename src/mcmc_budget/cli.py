@@ -7,15 +7,17 @@ delta, ``tables`` reproduces the reference budget tables with deviations,
 ``validate`` runs the empirical validation suites.
 
 Output is CSV (floats in 6-significant-digit scientific notation) or JSON
-(full precision) on stdout or ``--output``.  Defaults can be supplied via
-a ``--config`` JSON file (unknown keys are rejected) and the master seed
-via the ``MCMC_BUDGET_SEED`` environment variable.  Exit codes: 0 success,
+(full precision) on stdout or ``--output``.  Flag values can be supplied
+via a ``--config`` JSON file (unknown keys are rejected; flags on the
+command line win) and the master seed via the ``MCMC_BUDGET_SEED``
+environment variable.  Exit codes: 0 success,
 1 failed validation check, 2 usage error, 3 domain or numeric error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -31,6 +33,7 @@ from .bounds import (
     gap_error_bound,
     refined_gap_bound,
     refined_uniform_bound,
+    uniform_burnin,
     uniform_error_bound,
 )
 from .chains import FiniteChainModel, _ReplicationStreams, singular_f
@@ -299,9 +302,10 @@ def cmd_simulate(args) -> int:
         return 0
     estimate = estimate_e1(model, f, args.n, args.n0, args.replications,
                            args.seed, args.chunk_elements)
-    norm = model.lp_norm(f, args.p)
-    bound = uniform_error_bound(
-        args.n, model.params, FunctionClass(p=args.p, norm_p=norm)).total
+    f_class = FunctionClass(p=args.p, norm_p=model.lp_norm(f, args.p))
+    # the uniform bound applies only after the regime's burn-in
+    bound = (uniform_error_bound(args.n, model.params, f_class).total
+             if args.n0 >= uniform_burnin(model.params) else None)
     row = {"chain": args.chain, "n": args.n, "n0": args.n0,
            "replications": args.replications, "e1_hat": estimate.e1_hat,
            "uncertainty": estimate.uncertainty, "bound_total": bound,
@@ -343,15 +347,13 @@ def _suites_for(args, model) -> list:
                     replications=args.replications, master_seed=args.seed,
                     p=p, delta=args.delta, start=args.start,
                     chunk_elements=args.chunk_elements))
-        elif name == "rate":
+        else:
             p = args.p if args.p is not None else 1.5
             reports.append(rate_suite(
                 chain=args.chain, gamma=args.gamma, p=p,
                 n_grid=rate_grid,
                 replications=args.replications, master_seed=args.seed,
                 chunk_elements=args.chunk_elements))
-        else:
-            raise _UsageError(f"unknown suite {name!r}")
     return reports
 
 
@@ -404,12 +406,14 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="JSON file with flag defaults")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write output to this path")
-    parser.add_argument("--seed", type=_seed, default=_default_seed(),
+    parser.add_argument("--seed", type=_seed,
                         help="master seed, a nonnegative integer "
                              "(env MCMC_BUDGET_SEED)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and never changed."""
     parser = argparse.ArgumentParser(
         prog="mcmc-budget",
         description="Budget planning and empirical validation for MCMC "
@@ -499,38 +503,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _walk_parsers(parser: argparse.ArgumentParser):
-    stack = [parser]
-    while stack:
-        current = stack.pop()
-        yield current
-        for action in current._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
+# finds --config without checking the required flags the file may supply
+_CONFIG_PROBE = argparse.ArgumentParser(add_help=False)
+_CONFIG_PROBE.add_argument("--config")
 
 
-def _collect_destinations(parser: argparse.ArgumentParser) -> set:
-    names = set()
-    for current in _walk_parsers(parser):
-        for action in current._actions:
-            if not isinstance(action, argparse._SubParsersAction) \
-                    and action.dest not in ("help", "command", "config"):
-                names.add(action.dest)
-    return names
+def _config_token(action: argparse.Action, key: str, value):
+    """A ``--config`` value as its ``--flag=value`` token, or a usage error.
 
-
-def _config_value(action: argparse.Action, key: str, value):
-    """A ``--config`` value as its flag would give it, or a usage error.
-
-    Strings and numbers go through the flag's ``type`` (in their JSON
-    spelling) and ``choices``; a switch takes a JSON boolean, and a flag
-    whose default is unset also takes null.
+    Strings and numbers are checked against the flag's ``type`` (in their
+    JSON spelling) and ``choices``; a switch takes a JSON boolean, and a
+    flag whose default is unset also takes null.  ``None`` leaves the flag
+    at its default.  The ``=`` form keeps a value such as ``-1,2`` from
+    being read as a flag.
     """
-    if isinstance(action, argparse._StoreTrueAction):
+    flag = action.option_strings[0]
+    if action.nargs == 0:
         if not isinstance(value, bool):
             raise _UsageError(f"config key {key!r} must be true or false, "
                               f"got {value!r}")
-        return value
+        return flag if value else None
     if value is None and action.default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -545,59 +537,51 @@ def _config_value(action: argparse.Action, key: str, value):
         raise _UsageError(f"config key {key!r} must be one of "
                           f"{', '.join(map(str, action.choices))}, "
                           f"got {value!r}")
-    return converted
+    return f"{flag}={text}"
 
 
-def _install_config(parser: argparse.ArgumentParser, argv: list) -> None:
-    """Install the ``--config`` file's values as defaults of every parser.
+def _with_config(argv: list) -> list:
+    """``argv`` with the ``--config`` file's values as flag tokens.
 
-    Values for the command's own flags are checked and converted as the
-    flags would be; keys that are flags of no command are rejected.
+    The tokens go right after the command name, so flags given on the
+    command line override them and argparse enforces required flags.
+    Keys that are flags of no command are rejected.
     """
-    config_probe = argparse.ArgumentParser(add_help=False)
-    config_probe.add_argument("--config")
-    found, _ = config_probe.parse_known_args(argv)
+    found, _ = _CONFIG_PROBE.parse_known_args(argv)
     if not found.config:
-        return
+        return argv
     try:
         loaded = json.loads(Path(found.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read config: {exc}")
     if not isinstance(loaded, dict):
         raise _UsageError("config must be a JSON object")
-    unknown = set(loaded) - _collect_destinations(parser)
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    flags = {action.dest for command in commands.values()
+             for action in command._actions} - {"help", "config"}
+    unknown = set(loaded) - flags
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     # the top-level parser takes no option but help, so a command comes
-    # first; without one, parsing fails or prints help below
-    subparsers = next(action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    command = subparsers.choices.get(argv[0]) if argv else None
-    if command is not None:
-        actions = {action.dest: action for action in command._actions}
-        loaded = {key: _config_value(actions[key], key, value)
-                  if key in actions else value
-                  for key, value in loaded.items()}
-    # subparsers parse into a fresh namespace, so the defaults must be
-    # installed on every parser, not just the top-level one
-    for current in _walk_parsers(parser):
-        current.set_defaults(**loaded)
+    # first; without one, parsing fails or prints help
+    if not argv or argv[0] not in commands:
+        return argv
+    actions = {action.dest: action for action in commands[argv[0]]._actions}
+    tokens = [_config_token(actions[key], key, value)
+              for key, value in loaded.items() if key in actions]
+    return [argv[0], *filter(None, tokens), *argv[1:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = build_parser()
-        _install_config(parser, argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
+        if args.seed is None:
+            args.seed = _default_seed()
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .chains import (
     TV_RESOLUTION,
     FiniteChainModel,
     InitialDistribution,
+    _TV_HORIZON,
     _worst_start_tv,
     finite_model,
     load_chain,
@@ -54,7 +55,10 @@ __all__ = [
 CSV_COLUMNS = ("suite", "chain", "check", "n", "n0", "replications",
                "e1_hat", "uncertainty", "bound_total", "passed", "seed")
 
-_DEFAULT_MARGIN = 4.0
+_MARGIN = 4.0
+# the rate suite widens its slope window by this on either side
+_SLOPE_SLACK = 0.05
+_R2_FLOOR = 0.98
 # degenerate instances can have exactly zero Monte Carlo spread, where the
 # only deviation from the exact value is summation roundoff; allow for it
 _FLOAT_SLACK = 1e-12
@@ -125,7 +129,6 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
                           master_seed: int = 2024,
                           p: float = 2.0, delta: float = 0.5,
                           start: str = "point-mass",
-                          margin: float = _DEFAULT_MARGIN,
                           chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
     """Measured error against the regime bound on a log grid of n.
 
@@ -167,7 +170,7 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
         rows.append(CheckRow(
             suite=f"bound-dominance-{regime}", chain=model.name,
             check=f"dominance-n{est.n}",
-            passed=est.e1_hat <= bound + margin * est.uncertainty,
+            passed=est.e1_hat <= bound + _MARGIN * est.uncertainty,
             n=est.n, n0=n0, replications=replications,
             e1_hat=est.e1_hat, uncertainty=est.uncertainty,
             bound_total=bound, seed=master_seed))
@@ -176,15 +179,13 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
         passed=all(row.passed for row in rows),
         rows=tuple(rows),
         details={"regime": regime, "p": p, "delta": delta, "n0": n0,
-                 "margin": margin},
+                 "margin": _MARGIN},
     )
 
 
 def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
                n_grid=(100, 1000, 10_000, 100_000),
                replications: int = 10_000, master_seed: int = 2024,
-               slope_slack: float = 0.05, r2_floor: float = 0.98,
-               margin: float = _DEFAULT_MARGIN,
                chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
     """Fit the empirical convergence rate of e1 for a singular integrand.
 
@@ -206,9 +207,9 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
                      seed=master_seed)
             for est in estimates]
     fit = rate_regression([(est.n, est.e1_hat) for est in estimates])
-    window = (gamma - 1.0 - slope_slack, 1.0 / p - 1.0 + slope_slack)
+    window = (gamma - 1.0 - _SLOPE_SLACK, 1.0 / p - 1.0 + _SLOPE_SLACK)
     slope_ok = window[0] <= fit.slope <= window[1]
-    r2_ok = fit.r_squared >= r2_floor
+    r2_ok = fit.r_squared >= _R2_FLOOR
     chain_name = rows[0].chain
     rows.append(CheckRow(suite="rate", chain=chain_name,
                          check="slope-window", passed=slope_ok,
@@ -228,7 +229,6 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
 def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
                  replications: int = 100_000, master_seed: int = 2024,
                  start: str = "point-mass",
-                 margin: float = _DEFAULT_MARGIN,
                  chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
     """Monte Carlo versus exhaustive enumeration on every small instance.
 
@@ -250,7 +250,7 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
         for (n, n0), est in zip(windows, estimates):
             exact = exact_e1_small(model.chain, model.nu, values, n, n0)
             gap_to_exact = abs(est.e1_hat - exact)
-            allowed = margin * est.uncertainty + _FLOAT_SLACK
+            allowed = _MARGIN * est.uncertainty + _FLOAT_SLACK
             rows.append(CheckRow(
                 suite="oracle", chain=model.name,
                 check=f"exact-n{n}-n0{n0}",
@@ -262,14 +262,13 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
         suite="oracle",
         passed=all(row.passed for row in rows),
         rows=tuple(rows),
-        details={"instances": len(rows), "margin": margin,
+        details={"instances": len(rows), "margin": _MARGIN,
                  "max_total": max_total},
     )
 
 
 def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
                             "lazy-cycle-5"),
-                    horizon: int = 200,
                     master_seed: int = 2024) -> ValidationReport:
     """Certify the exact constants of the finite testbeds.
 
@@ -291,11 +290,11 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
         certified = all(
             tv <= max(params.alpha**n * params.big_m * (1 + 1e-9),
                       TV_RESOLUTION)
-            for n, tv in enumerate(_worst_start_tv(model.chain, horizon),
+            for n, tv in enumerate(_worst_start_tv(model.chain, _TV_HORIZON),
                                    start=1))
         rows.append(CheckRow(
             suite="constants", chain=model.name, check="tv-certification",
-            passed=certified, n=horizon, seed=master_seed))
+            passed=certified, n=_TV_HORIZON, seed=master_seed))
         kernel = np.asarray(model.chain.transition)
         pi = np.asarray(model.chain.stationary)
         balanced = True
@@ -313,5 +312,5 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
         suite="constants",
         passed=all(row.passed for row in rows),
         rows=tuple(rows),
-        details={"horizon": horizon, "chains": list(chains)},
+        details={"horizon": _TV_HORIZON, "chains": list(chains)},
     )

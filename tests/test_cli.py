@@ -16,10 +16,11 @@ from mcmc_budget.bounds import (
     ChainParams,
     FunctionClass,
     refined_uniform_bound,
+    uniform_burnin,
     uniform_error_bound,
 )
-from mcmc_budget.chains import derived_rng, make_chain
-from mcmc_budget.cli import main
+from mcmc_budget.chains import derived_rng, load_chain, make_chain
+from mcmc_budget.cli import build_parser, main
 from mcmc_budget.estimator import estimate_e1
 from mcmc_budget.planner import (
     PlanRequest,
@@ -301,6 +302,37 @@ class TestSimulate:
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text().startswith("chain,n,n0,replications")
 
+    def test_bound_cell_empty_below_burnin(self, capsys, tmp_path):
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps({"matrix": [[0.9, 0.1], [0.2, 0.8]],
+                                    "nu": [0, 1]}))
+        model = load_chain(str(path))
+        burnin = uniform_burnin(model.params)
+        assert 3 < burnin < 4
+        argv = ("simulate", "--chain", str(path), "--n", "5",
+                "--replications", "100")
+        code, out, _ = run_cli(capsys, *argv, "--n0", "3")
+        assert code == 0
+        assert parse_csv(out)[0]["bound_total"] == ""
+        _, out, _ = run_cli(capsys, *argv, "--n0", "3", "--format", "json")
+        assert json.loads(out)["rows"][0]["bound_total"] is None
+        code, out, _ = run_cli(capsys, *argv, "--n0", "4")
+        assert code == 0
+        bound = uniform_error_bound(5, model.params, FunctionClass(
+            p=1.5, norm_p=model.lp_norm(F01, 1.5))).total
+        assert parse_csv(out)[0]["bound_total"] == fmt(bound)
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [0, 1]],
+                                        [[1, 0], [0.5, 0.5]]])
+    def test_reducible_chain_is_named(self, capsys, tmp_path, matrix):
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        code, out, err = run_cli(capsys, "simulate", "--chain", str(path),
+                                 "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert "reducible" in err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MCMC_BUDGET_SEED", "9")
         _, from_env, _ = run_cli(
@@ -415,6 +447,34 @@ class TestConfigFile:
             capsys, "simulate", "--chain", "two-state", "--n", "1",
             "--replications", "300", "--seed", "10")
         assert overridden == explicit
+
+    def test_config_supplies_required_flag(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 3}))
+        code, from_config, _ = run_cli(
+            capsys, "simulate", "--chain", "two-state", "--replications",
+            "300", "--config", str(config))
+        _, explicit, _ = run_cli(
+            capsys, "simulate", "--chain", "two-state", "--replications",
+            "300", "--n", "3")
+        assert code == 0
+        assert from_config == explicit
+
+    @pytest.mark.parametrize("values", [{"seed": 9, "replications": 400},
+                                        {"seed": None}])
+    def test_config_leaves_no_trace_in_the_parser(self, capsys, tmp_path,
+                                                  values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        argv = ("simulate", "--chain", "two-state", "--n", "2",
+                "--replications", "300")
+        assert run_cli(capsys, *argv, "--config", str(config))[0] == 0
+        code, after, _ = run_cli(capsys, *argv)
+        _, default_seed, _ = run_cli(capsys, *argv, "--seed", "2024")
+        assert code == 0
+        assert after == default_seed
+        assert parse_csv(after)[0]["seed"] == "2024"
+        assert build_parser() is build_parser()
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -17,6 +17,10 @@ that reproduces numpy's ``SeedSequence`` hash, and one generator is re-keyed
 per replication, so every stream is the one the per-replication
 ``SeedSequence`` gives.  Short draws skip the generator: a numpy Philox
 block function computes them for the whole chunk from the same keys.
+A finite walk steps by inverse CDF: the next state is the number of the
+current row's CDF entries below the draw, counted over each state's
+distinct CDF levels rather than entry by entry, so the same streams give
+the same states.
 """
 from __future__ import annotations
 
@@ -272,6 +276,18 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _finite_array(values, invariant: str) -> np.ndarray:
+    """``values`` as a float array, or :class:`ChainValidationError` naming
+    ``invariant`` when they are not an array of finite numbers."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ChainValidationError(invariant) from None
+    if not np.isfinite(arr).all():
+        raise ChainValidationError(invariant)
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # finite chains
 
@@ -280,15 +296,15 @@ class FiniteChain:
     """A validated row-stochastic matrix with its stationary distribution.
 
     Raises :class:`ChainValidationError` naming the violated invariant when
-    the matrix is not square, exceeds 1000 states, has negative entries or
-    rows that do not sum to 1, when the stationary vector is not invariant,
-    or when declared reversibility fails detailed balance.
+    the matrix is not a square array of finite numbers, exceeds 1000
+    states, has negative entries or rows that do not sum to 1, when the
+    stationary vector is not invariant, or when declared reversibility
+    fails detailed balance.
     """
 
     def __init__(self, transition, stationary, reversible: bool = False):
-        k = np.array(transition, dtype=float)
-        _validate_transition(k)
-        pi = np.array(stationary, dtype=float)
+        k = _transition_matrix(transition)
+        pi = _finite_array(stationary, "stationary entries are finite numbers")
         if pi.shape != (k.shape[0],):
             raise ChainValidationError(
                 "stationary vector length matches the state count")
@@ -307,9 +323,7 @@ class FiniteChain:
         self.transition = _frozen_array(k)
         self.stationary = _frozen_array(pi)
         self.reversible = bool(reversible)
-        # _cum_cols[j, x] is P(X' <= j | X = x) for j < S - 1; the last
-        # CDF entry, 1.0, is left out (see _batch_states)
-        self._cum_cols = _frozen_array(np.cumsum(k, axis=1)[:, :-1].T)
+        self._levels, self._counts = _level_table(k)
 
     @property
     def size(self) -> int:
@@ -324,8 +338,7 @@ class FiniteChain:
         transposed matrix at eigenvalue 1; reversibility is auto-detected
         via detailed balance unless declared explicitly.
         """
-        k = np.array(matrix, dtype=float)
-        _validate_transition(k)
+        k = _transition_matrix(matrix)
         if stationary is None:
             eigenvalues, eigenvectors = np.linalg.eig(k.T)
             lead = int(np.argmin(np.abs(eigenvalues - 1.0)))
@@ -333,22 +346,60 @@ class FiniteChain:
             pi = np.where(np.abs(pi) < 1e-14, 0.0, pi)
             pi = pi / pi.sum()
         else:
-            pi = np.array(stationary, dtype=float)
+            pi = _finite_array(stationary,
+                               "stationary entries are finite numbers")
         if reversible is None:
             flow = pi[:, None] * k
             reversible = bool(np.abs(flow - flow.T).max() <= _BALANCE_TOL)
         return cls(k, pi, reversible=reversible)
 
 
-def _validate_transition(k: np.ndarray) -> None:
+def _transition_matrix(matrix) -> np.ndarray:
+    square = "transition matrix is a square array of finite numbers"
+    k = _finite_array(matrix, square)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ChainValidationError("transition matrix is square")
+        raise ChainValidationError(square)
     if k.shape[0] > _MAX_STATES:
         raise ChainValidationError("state space has at most 1000 states")
     if (k < 0).any():
         raise ChainValidationError("transition entries are nonnegative")
     if np.abs(k.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
         raise ChainValidationError("rows sum to 1")
+    return k
+
+
+def _level_table(k: np.ndarray):
+    """Each state's distinct CDF values below 1.0 and their multiplicities.
+
+    Column ``x`` of ``levels`` holds, in increasing order, the distinct
+    values below 1.0 among the first ``S - 1`` entries of row ``x``'s CDF,
+    padded with 1.0, which is never below a draw in [0, 1).  Column ``x``
+    of ``counts`` holds how many of those entries equal each level; it is
+    None when every level holds one entry.  A CDF row is nondecreasing
+    (adding a nonnegative float never lowers a sum), so equal entries form
+    runs, and a level is where a run starts.
+    """
+    size = len(k)
+    cdf = np.cumsum(k, axis=1)[:, :-1]
+    below = cdf < 1.0
+    starts = below.copy()
+    starts[:, 1:] &= cdf[:, 1:] != cdf[:, :-1]
+    rows, cols = np.nonzero(starts)
+    per_row = starts.sum(axis=1)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row,
+                                            per_row)
+    width = int(per_row.max(initial=0))
+    levels = np.ones((width, size))
+    levels[rank, rows] = cdf[rows, cols]
+    # a run's entries below 1.0 are those up to the next run's start: what
+    # lies between is 1.0 or more, or in rows with no level at all
+    runs = np.add.reduceat(below.ravel(), rows * (size - 1) + cols,
+                           dtype=np.int64)
+    if (runs == 1).all():
+        return _frozen_array(levels), None
+    counts = np.zeros((width, size), dtype=np.int64)
+    counts[rank, rows] = runs
+    return _frozen_array(levels), _frozen_array(counts, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +414,8 @@ class InitialDistribution:
     dratio: float
 
     def __post_init__(self) -> None:
-        nu = _frozen_array(self.nu)
+        nu = _finite_array(self.nu, "nu entries are finite numbers")
+        nu.setflags(write=False)
         object.__setattr__(self, "nu", nu)
         if (nu < 0).any():
             raise ChainValidationError("nu entries are nonnegative")
@@ -372,8 +424,10 @@ class InitialDistribution:
 
     @classmethod
     def against(cls, nu, chain: FiniteChain) -> "InitialDistribution":
-        nu = np.array(nu, dtype=float)
+        nu = _finite_array(nu, "nu entries are finite numbers")
         pi = chain.stationary
+        if nu.shape != pi.shape:
+            raise ChainValidationError("nu has one entry per state")
         if ((pi == 0) & (nu > 0)).any():
             raise ChainValidationError(
                 "dratio is finite (nu puts mass where stationary has none)")
@@ -467,8 +521,10 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution, length: int,
 
     Row ``r`` depends only on ``rngs[r]``, so results are identical however
     replications are grouped into batches.  A state is the count of CDF
-    entries below its draw; the last entry is 1.0 and never below a draw in
-    [0, 1), so only the ``S - 1`` entries before it are compared.
+    entries below its draw.  A step counts them per distinct level of the
+    current state's row (see :func:`_level_table`): ``x = sum_k counts[k,
+    x] * (levels[k, x] < u)``, unweighted when every count is 1.  The last
+    entry is 1.0 and never below a draw in [0, 1), so it is left out.
     """
     draws = _uniform_draws(rngs, length)
     # the states overwrite the draws they are stepped from: a column is
@@ -477,11 +533,14 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution, length: int,
     cum_nu = np.cumsum(nu.nu)[:-1]
     x = (cum_nu[:, None] < draws[:, 0]).sum(axis=0)
     states[:, 0] = x
-    cum_cols = chain._cum_cols
+    levels, counts = chain._levels, chain._counts
     for start, block in _time_major_blocks(draws, 1):
         stepped = np.empty(block.shape, dtype=np.int64)
         for t, u in enumerate(block):
-            x = stepped[t] = (cum_cols.take(x, axis=1) < u).sum(axis=0)
+            hits = levels.take(x, axis=1) < u
+            if counts is not None:
+                hits = counts.take(x, axis=1) * hits
+            x = stepped[t] = hits.sum(axis=0)
         states[:, start:start + len(stepped)] = stepped.T
     return states
 
@@ -735,8 +794,8 @@ def load_chain(source) -> FiniteChainModel:
 
     The document is ``{"matrix": [[...]], "nu": [...], "reversible": true}``
     with ``nu`` and ``reversible`` optional (stationary start and
-    auto-detection by default).  Validation failures name the violated
-    invariant.
+    auto-detection by default).  ``reversible`` is a JSON boolean.
+    Validation failures name the violated invariant.
     """
     if isinstance(source, dict):
         document = source
@@ -753,8 +812,10 @@ def load_chain(source) -> FiniteChainModel:
             f"unknown chain fields: {sorted(unknown)}")
     if "matrix" not in document:
         raise ChainValidationError("chain document has a 'matrix' field")
-    chain = FiniteChain.from_matrix(document["matrix"],
-                                    reversible=document.get("reversible"))
+    reversible = document.get("reversible")
+    if not isinstance(reversible, (bool, type(None))):
+        raise ChainValidationError("reversible is a JSON boolean")
+    chain = FiniteChain.from_matrix(document["matrix"], reversible=reversible)
     if "nu" in document:
         nu = InitialDistribution.against(document["nu"], chain)
     else:

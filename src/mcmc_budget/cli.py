@@ -131,9 +131,13 @@ def _parse_grid(text: str, flag: str) -> tuple:
 
 def _parse_values(text: str) -> np.ndarray:
     try:
-        return np.array([float(token) for token in text.split(",") if token])
+        values = np.array([float(token) for token in text.split(",")
+                           if token])
     except ValueError:
         raise _UsageError(f"cannot parse value vector from {text!r}")
+    if not np.isfinite(values).all():
+        raise _UsageError(f"value vector {text!r} has a non-finite entry")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def _simulation_function(args, model):
 def _load_model(source: str):
     try:
         return resolve_model(source)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read chain file {source}: {exc}")
 
 

@@ -13,7 +13,7 @@ most ``margin * uncertainty``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .chains import (
     InitialDistribution,
     _TV_HORIZON,
     _worst_start_tv,
-    finite_model,
     load_chain,
     make_chain,
     singular_f,
@@ -106,11 +105,14 @@ def _point_mass_rebind(model: FiniteChainModel) -> FiniteChainModel:
     """Restart a finite model from the least likely state.
 
     This maximizes the density-ratio penalty the burn-in recipes have to
-    neutralize, which is the interesting regime for dominance checks.
+    neutralize, which is the interesting regime for dominance checks.  The
+    chain's constants do not depend on the start law, so only ``dratio``
+    changes.
     """
     state = int(np.argmin(np.asarray(model.chain.stationary)))
     nu = InitialDistribution.point_mass(state, model.chain)
-    return finite_model(model.chain, nu, name=model.name)
+    return replace(model, nu=nu,
+                   params=replace(model.params, dratio=nu.dratio))
 
 
 def _default_values(model: FiniteChainModel) -> np.ndarray:

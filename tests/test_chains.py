@@ -416,6 +416,26 @@ class TestZoo:
         with pytest.raises(ChainValidationError, match="sums to 1"):
             load_chain({"matrix": TWO_STATE, "nu": [0.7, 0.7]})
 
+    @pytest.mark.parametrize("document, invariant", [
+        ({"matrix": [[math.nan, 1.0], [0.5, 0.5]]}, "finite numbers"),
+        ({"matrix": [[math.inf, 0.0], [0.5, 0.5]]}, "finite numbers"),
+        ({"matrix": [[None, 1.0], [0.5, 0.5]]}, "finite numbers"),
+        ({"matrix": [["a", "b"], [0.5, 0.5]]}, "finite numbers"),
+        ({"matrix": [[{"a": 1}, 1.0], [0.5, 0.5]]}, "finite numbers"),
+        ({"matrix": [[0.5, 0.5], [0.5]]}, "square array"),
+        ({"matrix": "two-state"}, "square array"),
+        ({"matrix": TWO_STATE, "nu": [math.nan, 1.0]}, "nu entries"),
+        ({"matrix": TWO_STATE, "nu": ["a", 1.0]}, "nu entries"),
+        ({"matrix": TWO_STATE, "nu": [1.0]}, "one entry per state"),
+        ({"matrix": TWO_STATE, "nu": [[0.5, 0.5]]}, "one entry per state"),
+        ({"matrix": TWO_STATE, "reversible": "no"}, "JSON boolean"),
+        ({"matrix": TWO_STATE, "reversible": 1}, "JSON boolean"),
+    ])
+    def test_json_malformed_document_names_invariant(self, document,
+                                                     invariant):
+        with pytest.raises(ChainValidationError, match=invariant):
+            load_chain(document)
+
 
 def test_derived_rng_streams_are_stable_and_distinct():
     a1 = derived_rng(42, 0).random(4)
@@ -526,6 +546,96 @@ def test_time_major_stepping_matches_per_row_reference(model):
     want = _reference_states(model.chain, model.nu, length, 31, rows)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+class _PresetDraws:
+    """A generator stand-in: ``random(out=row)`` writes preset draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, out):
+        out[:] = self.draws
+
+
+def _on_level_walks(chain, nu, length, rows, seed):
+    """Draws and walks by the full count of CDF entries below each draw.
+
+    Every step's draw sits exactly on a CDF value below 1.0 of the current
+    state's row, or at 0.0, so a comparison that is off by one level or a
+    level that counts the wrong number of entries changes the walk.
+    """
+    cum = np.cumsum(chain.transition, axis=1)[:, :-1].T
+    pick = np.random.default_rng(seed)
+    draws = np.empty((rows, length))
+    states = np.empty((rows, length), dtype=np.int64)
+    draws[:, 0] = pick.random(rows)
+    x = states[:, 0] = (np.cumsum(nu.nu)[:-1, None] < draws[:, 0]).sum(axis=0)
+    for t in range(1, length):
+        for r, state in enumerate(x):
+            on_level = np.append(cum[:, state], 0.0)
+            draws[r, t] = pick.choice(on_level[on_level < 1.0])
+        u = draws[:, t]
+        x = states[:, t] = (cum.take(x, axis=1) < u).sum(axis=0)
+    return draws, states
+
+
+def _sparse_band(size, seed):
+    """A random birth-death chain: each row is zero outside three entries."""
+    rng = np.random.default_rng(seed)
+    up = rng.uniform(0.05, 0.5, size - 1)
+    down = rng.uniform(0.05, 0.5, size - 1)
+    k = np.diag(up, 1) + np.diag(down, -1)
+    k += np.diag(1.0 - k.sum(axis=1))
+    return FiniteChain.from_matrix(k)
+
+
+def _ulp_short_rows(size=12):
+    """A circulant chain whose unrolled row's CDF ends one ulp below 1."""
+    base = np.array([0.1] * 10 + [0.0] * (size - 10))
+    assert base.cumsum()[9] == np.nextafter(1.0, 0.0)
+    k = np.array([np.roll(base, shift) for shift in range(size)])
+    return FiniteChain(k, np.full(size, 1.0 / size))
+
+
+def _random_dense(size, seed):
+    rng = np.random.default_rng(seed)
+    return FiniteChain.from_matrix(rng.dirichlet(np.ones(size), size))
+
+
+@pytest.mark.parametrize("chain", [
+    _random_dense(5, 1),
+    _random_dense(23, 2),
+    _sparse_band(9, 3),
+    _sparse_band(40, 4),
+    _ulp_short_rows(),
+    make_chain("two-state").chain,
+    FiniteChain([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+    FiniteChain([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
+    FiniteChain.from_matrix([[0.5, 0.5], [1.0, 0.0]]),
+    make_chain("lazy-cycle-3").chain,
+    make_chain("lazy-cycle-7").chain,
+    make_chain("lazy-cycle-50").chain,
+], ids=["dense-5", "dense-23", "band-9", "band-40", "ulp-short",
+        "two-state", "always-swap", "never-swap", "swap-from-1",
+        "lazy-cycle-3", "lazy-cycle-7", "lazy-cycle-50"])
+def test_level_stepping_is_the_full_count(chain):
+    nu = InitialDistribution.stationary(chain)
+    draws, want = _on_level_walks(chain, nu, 300, 6, seed=chain.size)
+    got = _batch_states(chain, nu, 300, [_PresetDraws(row) for row in draws])
+    assert np.array_equal(got, want)
+
+
+def test_unit_counts_keep_the_unweighted_step():
+    for name in ("two-state", "lazy-cycle-3"):
+        assert make_chain(name).chain._counts is None
+    lazy = make_chain("lazy-cycle-50").chain
+    # row 1's CDF reaches 1.0 at state 2, so its third level is padding;
+    # row 3's CDF is 0.0 at states 0 and 1, one level of two entries
+    assert lazy._levels[:, 1].tolist() == [0.25, 0.75, 1.0]
+    assert lazy._counts[:, 1].tolist() == [1, 1, 0]
+    assert lazy._levels[:, 3].tolist() == [0.0, 0.25, 0.75]
+    assert lazy._counts[:, 3].tolist() == [2, 1, 1]
 
 
 def test_indep_mh_values_do_not_depend_on_chunking():

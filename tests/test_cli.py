@@ -276,6 +276,18 @@ class TestSimulate:
         assert code == 2
         assert "--f" in err
 
+    @pytest.mark.parametrize("values, extra", [
+        ("inf,0", ()), ("nan,0", ("--format", "json")),
+        ("0,-inf", ("--trajectory",)), ("1e400,0", ("--format", "json")),
+    ])
+    def test_non_finite_f_is_usage_error(self, capsys, values, extra):
+        code, out, err = run_cli(
+            capsys, "simulate", "--chain", "two-state", "--n", "5",
+            "--replications", "20", "--f", values, *extra)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err and values in err
+
     def test_unknown_chain_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--chain", "three-state", "--n", "2")
@@ -413,6 +425,33 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert path in err
+
+    @pytest.mark.parametrize("text, invariant", [
+        ('{"matrix": [[NaN, 1.0], [0.5, 0.5]]}', "finite numbers"),
+        ('{"matrix": [["a", "b"], [0.5, 0.5]]}', "finite numbers"),
+        ('{"matrix": [[0.5, 0.5], [0.5]]}', "square array"),
+        ('{"matrix": [[0.9, 0.1], [0.2, 0.8]], "reversible": "no"}',
+         "JSON boolean"),
+    ])
+    def test_malformed_json_chain_is_domain_error(self, capsys, tmp_path,
+                                                  text, invariant):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "validate", "--chain", str(path), "--suite",
+            "constants")
+        assert code == 3
+        assert out == ""
+        assert invariant in err and "Traceback" not in err
+
+    def test_undecodable_chain_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_bytes(b'\xff\xfe{"matrix": [[1.0]]}')
+        code, out, err = run_cli(capsys, "simulate", "--chain", str(path),
+                                 "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "cannot read chain file" in err
 
     def test_bad_json_chain_names_invariant(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,13 +1,15 @@
 """Property test: every command line ends in a documented exit code.
 
 Generated argv and ``--config`` files over all six commands, mixing valid
-and invalid values, must end in exit 0-3 with no traceback.  Sizes stay
-moderate (at most 200 replications, walks of at most 50 steps, short
-grids), so each example runs in milliseconds.
+and invalid values, must end in exit 0-3 with no traceback; so must
+generated chain documents, each a valid chain with at most one part
+broken.  Sizes stay moderate (at most 200 replications, walks of at most
+50 steps, short grids), so each example runs in milliseconds.
 """
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -186,5 +188,73 @@ def test_every_command_line_ends_in_a_documented_exit_code(
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), (argv, config, code)
         assert "Traceback" not in err, (argv, config, err)
+
+    run()
+
+
+# chain documents: one of these chains with at most one part broken
+MATRICES = [[[0.9, 0.1], [0.2, 0.8]],
+            [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+            [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]]
+# a JSON value that is no finite number; json.dumps writes the non-finite
+# floats as the NaN, Infinity and -Infinity tokens
+ODD_ENTRIES = st.sampled_from(["a", "", None, True, [0.5], {"a": 1},
+                               math.nan, math.inf, -math.inf])
+CHAIN_COMMANDS = [
+    ["simulate", "--n", "5", "--replications", "20"],
+    ["simulate", "--n", "5", "--trajectory", "--format", "json"],
+    ["validate", "--suite", "constants"],
+    ["validate", "--suite", "oracle", "--max-total", "3",
+     "--replications", "50"],
+]
+
+
+@st.composite
+def chain_documents(draw):
+    matrix = [list(row) for row in draw(st.sampled_from(MATRICES))]
+    size = len(matrix)
+    broken = draw(st.sampled_from(
+        [None, "ragged", "entry", "random", "nu", "reversible"]))
+    row = draw(st.integers(0, size - 1))
+    if broken == "ragged":
+        matrix[row] = (matrix[row][:-1] if draw(st.booleans())
+                       else matrix[row] + [0.0])
+    elif broken == "entry":
+        matrix[row][draw(st.integers(0, size - 1))] = draw(ODD_ENTRIES)
+    elif broken == "random":
+        matrix = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=size,
+                                        max_size=size),
+                               min_size=size, max_size=size))
+    document = {"matrix": matrix}
+    if broken == "nu":
+        document["nu"] = draw(st.one_of(
+            st.lists(st.floats(0.0, 1.0), max_size=size + 1),
+            st.just([1.0] + [0.0] * size),
+            st.lists(ODD_ENTRIES, min_size=size, max_size=size), ODD_ENTRIES))
+    elif draw(st.booleans()):
+        document["nu"] = [1.0] + [0.0] * (size - 1)
+    if broken == "reversible":
+        document["reversible"] = draw(st.sampled_from(
+            ["no", "yes", "true", 0, 1, [True], {}, math.nan]))
+    elif draw(st.booleans()):
+        document["reversible"] = draw(st.booleans())
+    return document
+
+
+def test_every_chain_document_ends_in_a_documented_exit_code(tmp_path,
+                                                             capsys):
+    path = tmp_path / "chain.json"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(document=chain_documents(),
+           command=st.sampled_from(CHAIN_COMMANDS))
+    def run(document, command):
+        path.write_text(json.dumps(document))
+        argv = [command[0], "--chain", str(path), *command[1:]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (document, argv, code)
+        assert "Traceback" not in err, (document, argv, err)
 
     run()

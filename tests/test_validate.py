@@ -21,6 +21,7 @@ from mcmc_budget.validate import (
     bound_dominance_suite,
     constants_suite,
     oracle_suite,
+    _point_mass_rebind,
     rate_suite,
     resolve_model,
 )
@@ -111,6 +112,17 @@ class TestBoundDominanceSuite:
         with pytest.raises(DomainError, match="regime"):
             bound_dominance_suite(regime="eq9", n_grid=(10,),
                                   replications=100)
+
+    def test_point_mass_restart_keeps_the_chain_constants(self):
+        base = make_chain("lazy-cycle-7")
+        model = _point_mass_rebind(base)
+        state = int(np.argmin(base.chain.stationary))
+        want = finite_model(base.chain,
+                            InitialDistribution.point_mass(state, base.chain))
+        assert model.params == want.params
+        assert model.params.dratio == pytest.approx(6.0, rel=1e-12)
+        assert np.array_equal(model.nu.nu, want.nu.nu)
+        assert (model.chain, model.name) == (base.chain, base.name)
 
 
 class TestRateSuite:

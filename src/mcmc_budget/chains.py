@@ -283,9 +283,18 @@ def _finite_array(values, invariant: str) -> np.ndarray:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise ChainValidationError(invariant) from None
-    if not np.isfinite(arr).all():
+    if not np.isfinite(arr).all() or _holds_booleans(values):
         raise ChainValidationError(invariant)
     return arr
+
+
+def _holds_booleans(values) -> bool:
+    """Whether ``values`` has a boolean entry, which numpy would read as
+    1.0 or 0.0."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype == bool
+    kinds = set(map(type, np.asarray(values, dtype=object).flat))
+    return bool in kinds or np.bool_ in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +337,15 @@ class FiniteChain:
     @property
     def size(self) -> int:
         return self.transition.shape[0]
+
+    def expectation(self, f_values) -> float:
+        """Stationary mean of the state values ``f_values``."""
+        f = np.asarray(f_values, dtype=float)
+        if np.all(f == f.flat[0]):
+            # a constant integrates to itself exactly; the weighted dot
+            # product would leave last-ulp residue from the computed pi
+            return float(f.flat[0])
+        return float(self.stationary @ f)
 
     @classmethod
     def from_matrix(cls, matrix, reversible: bool | None = None,
@@ -732,12 +750,7 @@ class FiniteChainModel:
     params: ChainParams
 
     def expectation(self, f_values) -> float:
-        f = np.asarray(f_values, dtype=float)
-        if np.all(f == f.flat[0]):
-            # a constant integrates to itself exactly; the weighted dot
-            # product would leave last-ulp residue from the computed pi
-            return float(f.flat[0])
-        return float(self.chain.stationary @ f)
+        return self.chain.expectation(f_values)
 
     def lp_norm(self, f_values, p: float) -> float:
         if p < 1.0:

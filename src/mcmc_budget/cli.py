@@ -212,6 +212,10 @@ def _plan_row(method: str, args, delta, budget) -> dict:
 
 
 def cmd_plan(args) -> int:
+    if args.regime == "uniform":
+        for flag, value in (("--alpha", args.alpha), ("--big-m", args.big_m)):
+            if value is None:
+                raise _UsageError(f"the uniform regime requires {flag}")
     request = _plan_request(args)
     if args.regime == "uniform":
         budget = plan_uniform(request)
@@ -233,6 +237,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.regime == "uniform":
+        raise _UsageError("optimize tunes the gap-regime slack; the uniform "
+                          "regime has none (use plan --regime uniform)")
     request = _plan_request(args)
     best_delta, best = delta_star(request)
     rows = [_plan_row("optimal", args, best_delta, best)]

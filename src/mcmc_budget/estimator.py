@@ -35,7 +35,6 @@ __all__ = [
 
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
-_ENUMERATION_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -209,41 +208,37 @@ def estimate_ep(model, f, n: int, n0: int, p: float, replications: int,
 
 
 def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> float:
-    """Exact ``E|S - mu|`` by summing over every trajectory.
+    """Exact ``E|S - mu|`` by a forward recursion over (state, partial sum).
 
-    The initial distribution is propagated through the burn-in exactly,
-    then all length-``n`` windows are expanded with their probabilities.
-    Instances are admitted only while ``size ** (n + n0)`` stays within
-    the 1e7 path-enumeration budget.
+    After the exact burn-in, ``mass[s, k]`` is the probability of state ``s``
+    with ``k`` as the window's sum of ``f - min f`` so far: the Markov-additive
+    recursion (Asmussen 2003, *Applied Probability and Queues*, ch. XI).  It
+    costs ``O(n**2 S**2 (max f - min f))``; ``f`` needs integer differences.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if n0 < 0:
         raise DomainError("n0 must be nonnegative")
-    size = chain.size
-    if size ** (n + n0) > _ENUMERATION_BUDGET:
-        raise DomainError(
-            f"path-enumeration budget exceeded: {size}**{n + n0} > 1e7")
     f = np.asarray(f_values, dtype=float)
-    kernel = np.asarray(chain.transition)
-    if np.all(f == f.flat[0]):
-        # constants cancel exactly; see FiniteChainModel.expectation
-        mu = float(f.flat[0])
-    else:
-        mu = float(np.asarray(chain.stationary) @ f)
-    weights = np.asarray(nu.nu)
+    lift = f - f.min()
+    if not np.array_equal(lift, np.round(lift)):
+        raise DomainError("the exact oracle needs f values with integer "
+                          "differences")
+    lift = lift.astype(np.int64)
+    weights = nu.nu
     for _ in range(n0):
-        weights = weights @ kernel
-    # expand windows one step at a time; row r of the expansion carries
-    # the probability and running f-sum of one partial trajectory
-    probs = weights.astype(float)
-    sums = f.copy()
-    states = np.arange(size)
+        weights = weights @ chain.transition
+    size, width = chain.size, n * int(lift.max()) + 1
+    mass = np.zeros((size, width))
+    mass[np.arange(size), lift] = weights
+    # an index below its row's start lands in the top max(lift) columns of
+    # the row before (row 0: the last row), empty until the n-th value
+    source = (np.arange(size)[:, None] * width + np.arange(width)
+              - lift[:, None])
     for _ in range(n - 1):
-        probs = (probs[:, None] * kernel[states, :]).ravel()
-        sums = (sums[:, None] + f[None, :]).ravel()
-        states = np.tile(np.arange(size), states.shape[0])
-    return float(probs @ np.abs(sums / n - mu))
+        mass = (chain.transition.T @ mass).take(source)
+    means = f.min() + np.arange(width) / n
+    return float(mass.sum(axis=0) @ np.abs(means - chain.expectation(f)))
 
 
 def rate_regression(points) -> RateFit:

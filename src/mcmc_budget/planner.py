@@ -55,6 +55,7 @@ class Budget:
 
     ``delta`` is ``None`` for uniform-regime plans, where no slack exists.
     Lengths are real-valued; round up only when handing them to a simulator.
+    A length that overflows to infinity raises :class:`NumericalError`.
     """
 
     delta: float | None
@@ -64,6 +65,9 @@ class Budget:
     epsilon: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.n0) and math.isfinite(self.n)):
+            raise NumericalError(
+                f"the budget overflows: n0 = {self.n0:g}, n = {self.n:g}")
         if self.delta is not None:
             _require(0.0 < self.delta <= 1.0, "delta must lie in (0, 1]")
         _require(self.n0 >= 0.0, "n0 must be nonnegative")
@@ -161,6 +165,7 @@ def delta_hat(p: float, epsilon: float, dratio: float) -> float:
 def budget_for_delta(delta: float, req: PlanRequest) -> Budget:
     """Budget achieving ``req.epsilon`` in the gap regime at a given slack."""
     _require(req.regime == "gap", "budget_for_delta plans the gap regime")
+    delta = float(delta)  # a numpy slack would warn where a float overflows
     p = req.f.p
     _require(0.0 < delta < min(1.0, p - 1.0),
              "delta must lie in (0, min(1, p - 1))")

@@ -232,7 +232,7 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
                  replications: int = 100_000, master_seed: int = 2024,
                  start: str = "point-mass",
                  chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> ValidationReport:
-    """Monte Carlo versus exhaustive enumeration on every small instance.
+    """Monte Carlo versus the exact forward recursion on every small instance.
 
     For each chain, every (n, n0) with ``n + n0 <= max_total`` is checked:
     ``|e1_hat - exact| <= margin * uncertainty``.

@@ -424,14 +424,14 @@ def _collect_run_problems(runs: dict[str, dict], names: tuple[str, ...],
 
 
 def test_criterion_6_estimator_matches_enumeration(validation_runs):
-    """Monte Carlo error estimates agree with exact path enumeration within
-    four uncertainty units on every window with n + n0 <= 8, at 100000
+    """Monte Carlo error estimates agree with the exact forward recursion
+    within four uncertainty units on every window with n + n0 <= 8, at 100000
     replications, for the two- and three-state chains."""
     problems, elapsed = _collect_run_problems(
         validation_runs, ("oracle-two-state", "oracle-lazy-cycle-3"), 36)
     if elapsed >= 60.0:
         problems.append(f"took {elapsed:.1f}s, budget is 60s")
-    _report("criterion 6 (enumeration oracle, R=100000)", not problems,
+    _report("criterion 6 (exact oracle, R=100000)", not problems,
             f"72 windows in {elapsed:.1f}s")
     assert not problems, "\n".join(problems)
 

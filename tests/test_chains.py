@@ -430,6 +430,9 @@ class TestZoo:
         ({"matrix": TWO_STATE, "nu": [[0.5, 0.5]]}, "one entry per state"),
         ({"matrix": TWO_STATE, "reversible": "no"}, "JSON boolean"),
         ({"matrix": TWO_STATE, "reversible": 1}, "JSON boolean"),
+        ({"matrix": TWO_STATE, "nu": [True, False]}, "nu entries"),
+        ({"matrix": [[True, False], [0.5, 0.5]]}, "finite numbers"),
+        ({"matrix": np.eye(2, dtype=bool)}, "finite numbers"),
     ])
     def test_json_malformed_document_names_invariant(self, document,
                                                      invariant):

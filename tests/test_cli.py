@@ -206,8 +206,53 @@ class TestPlan:
         assert row["delta"] == ""
         assert row["total"] == fmt(budget.total)
 
+    @pytest.mark.parametrize("given, missing", [
+        ((), "--alpha"),
+        (("--big-m", "1"), "--alpha"),
+        (("--alpha", "0.5"), "--big-m"),
+    ])
+    def test_uniform_regime_missing_flag_is_usage_error(self, capsys, given,
+                                                        missing):
+        code, out, err = run_cli(
+            capsys, "plan", "--regime", "uniform", "--p", "1.5", "--eps",
+            "0.1", "--gap", "0.3", "--dratio", "1", *given)
+        assert code == 2
+        assert out == ""
+        assert missing in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--gap", "1e-310", "--delta", "0.3"),
+        ("--gap", "0.01", "--delta", "1e-320", "--format", "json"),
+        ("--gap", "1e-310", "--regime", "uniform", "--alpha", "0.5",
+         "--big-m", "1"),
+    ])
+    def test_non_finite_plan_is_numerical_error(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, "plan", "--p", "1.5", "--eps", "0.1", "--dratio", "1e30",
+            *argv)
+        assert code == 3
+        assert out == ""
+        assert "overflows" in err
+
 
 class TestOptimize:
+    def test_uniform_regime_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--regime", "uniform", "--p", "1.5", "--eps",
+            "0.1", "--gap", "0.3", "--dratio", "1", "--alpha", "0.5",
+            "--big-m", "1")
+        assert code == 2
+        assert out == ""
+        assert "uniform" in err
+
+    def test_every_slack_overflowing_is_numerical_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--p", "1.5", "--eps", "0.1", "--gap",
+            "1e-300", "--dratio", "1e30")
+        assert code == 3
+        assert out == ""
+        assert err == "error: no feasible delta: every budget overflows\n"
+
     def test_reference_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--p", "1.5", "--eps", "0.1", "--gap",
@@ -374,6 +419,14 @@ class TestValidateCommand:
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 6
+
+    def test_oracle_suite_on_eight_states(self, capsys):
+        # 8**8 paths: beyond reach of path enumeration
+        code, out, _ = run_cli(
+            capsys, "validate", "--chain", "lazy-cycle-8", "--suite",
+            "oracle", "--replications", "2000")
+        assert code == 0
+        assert len(parse_csv(out)) == 36
 
     def test_bound_dominance_quick(self, capsys):
         code, out, _ = run_cli(

@@ -35,6 +35,7 @@ from mcmc_budget.estimator import (
     sample_mean,
 )
 from mcmc_budget.exceptions import DomainError
+from mcmc_budget.validate import _point_mass_rebind
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
 F01 = np.array([0.0, 1.0])
@@ -268,6 +269,27 @@ class TestEstimateEp:
 # exact small-instance oracle
 
 
+def enumerated_e1(chain, nu, f_values, n, n0):
+    """``E|S - mu|`` summed over all ``size**n`` window paths: the
+    reference for the forward recursion."""
+    f = np.asarray(f_values, dtype=float)
+    kernel = np.asarray(chain.transition)
+    mu = chain.expectation(f)
+    weights = np.asarray(nu.nu)
+    for _ in range(n0):
+        weights = weights @ kernel
+    # row r of the expansion carries the probability and running f-sum of
+    # one partial trajectory
+    probs = weights.astype(float)
+    sums = f.copy()
+    states = np.arange(chain.size)
+    for _ in range(n - 1):
+        probs = (probs[:, None] * kernel[states, :]).ravel()
+        sums = (sums[:, None] + f[None, :]).ravel()
+        states = np.tile(np.arange(chain.size), states.shape[0])
+    return float(probs @ np.abs(sums / n - mu))
+
+
 class TestExactE1Small:
     def test_one_step_oracle(self):
         model = two_state_model()
@@ -293,10 +315,39 @@ class TestExactE1Small:
                                np.array([3.0, 3.0]), n=4, n0=2)
         assert value == 0.0
 
-    def test_budget_guard(self):
+    def test_former_budget_instance_matches_enumeration(self):
+        # 2**24 paths counting burn-in were once refused; 2**20 are summed
         model = two_state_model()
-        with pytest.raises(DomainError, match="budget"):
-            exact_e1_small(model.chain, model.nu, F01, n=20, n0=4)
+        value = exact_e1_small(model.chain, model.nu, F01, n=20, n0=4)
+        reference = enumerated_e1(model.chain, model.nu, F01, n=20, n0=4)
+        assert value == pytest.approx(reference, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3"])
+    def test_oracle_windows_match_enumeration(self, name):
+        model = _point_mass_rebind(make_chain(name))
+        f = np.arange(model.chain.size, dtype=float)
+        for n0 in range(8):
+            for n in range(1, 9 - n0):
+                value = exact_e1_small(model.chain, model.nu, f, n, n0)
+                reference = enumerated_e1(model.chain, model.nu, f, n, n0)
+                assert value == pytest.approx(reference, rel=1e-14)
+
+    @pytest.mark.parametrize("n0", [0, 3])
+    def test_dense_chain_with_gaps_in_f_matches_enumeration(self, n0):
+        matrix = np.random.default_rng(4).random((4, 4))
+        chain = FiniteChain.from_matrix(matrix / matrix.sum(axis=1,
+                                                            keepdims=True))
+        nu = InitialDistribution.against([0.1, 0.2, 0.3, 0.4], chain)
+        f = np.array([0.0, 2.0, 3.0, 7.0])
+        for n in range(1, 8):
+            value = exact_e1_small(chain, nu, f, n, n0)
+            reference = enumerated_e1(chain, nu, f, n, n0)
+            assert value == pytest.approx(reference, rel=1e-14)
+
+    def test_non_integer_differences_raise(self):
+        model = two_state_model()
+        with pytest.raises(DomainError, match="integer differences"):
+            exact_e1_small(model.chain, model.nu, [0.0, 0.5], n=2, n0=0)
 
     def test_monte_carlo_agreement_two_state(self):
         model = two_state_model(nu_state=0)

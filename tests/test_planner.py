@@ -182,6 +182,36 @@ class TestBudgetForDelta:
             with pytest.raises(NumericalError):
                 budget_for_delta(np.float64(0.1 * (1.0 - 1e-9)), req)
 
+    @pytest.mark.parametrize("gap, delta", [
+        (1e-310, 0.3),   # n_lo = 1/gap overflows: n0 and n are inf
+        (0.01, 1e-320),  # the burn-in ln(64 dratio/delta)/(delta gap)
+    ])
+    def test_non_finite_budget_raises(self, gap, delta):
+        req = gap_request(1.5, 0.1, gap=gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                budget_for_delta(delta, req)
+
+    def test_non_finite_uniform_budget_raises(self):
+        req = PlanRequest(epsilon=0.1, gap=1e-310, dratio=1e30,
+                          f=FunctionClass(p=1.5, norm_p=1.0),
+                          regime="uniform", alpha=0.5, big_m=1.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            plan_uniform(req)
+
+    def test_budget_rejects_non_finite_lengths(self):
+        with pytest.raises(NumericalError):
+            Budget(delta=0.1, n0=math.inf, n=1.0, total=math.inf,
+                   epsilon=0.1)
+
+    def test_overflowing_slacks_are_infeasible_without_warning(self):
+        # every slack on delta_star's numpy grid overflows at this gap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="no feasible delta"):
+                delta_star(gap_request(1.5, 0.1, gap=1e-300))
+
     def test_slack_out_of_range(self):
         req = gap_request(1.5, 0.1)
         with pytest.raises(DomainError):

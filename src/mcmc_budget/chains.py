@@ -262,14 +262,6 @@ def _uniform_draws(rngs, width: int) -> np.ndarray:
     return draws
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -348,8 +340,8 @@ class FiniteChain:
         return float(self.stationary @ f)
 
     @classmethod
-    def from_matrix(cls, matrix, reversible: bool | None = None,
-                    stationary=None) -> "FiniteChain":
+    def from_matrix(cls, matrix,
+                    reversible: bool | None = None) -> "FiniteChain":
         """Build a chain from a transition matrix alone.
 
         The stationary distribution is computed from the eigenvector of the
@@ -357,15 +349,11 @@ class FiniteChain:
         via detailed balance unless declared explicitly.
         """
         k = _transition_matrix(matrix)
-        if stationary is None:
-            eigenvalues, eigenvectors = np.linalg.eig(k.T)
-            lead = int(np.argmin(np.abs(eigenvalues - 1.0)))
-            pi = np.real(eigenvectors[:, lead])
-            pi = np.where(np.abs(pi) < 1e-14, 0.0, pi)
-            pi = pi / pi.sum()
-        else:
-            pi = _finite_array(stationary,
-                               "stationary entries are finite numbers")
+        eigenvalues, eigenvectors = np.linalg.eig(k.T)
+        lead = int(np.argmin(np.abs(eigenvalues - 1.0)))
+        pi = np.real(eigenvectors[:, lead])
+        pi = np.where(np.abs(pi) < 1e-14, 0.0, pi)
+        pi = pi / pi.sum()
         if reversible is None:
             flow = pi[:, None] * k
             reversible = bool(np.abs(flow - flow.T).max() <= _BALANCE_TOL)
@@ -578,11 +566,12 @@ def _time_major_blocks(draws: np.ndarray, first: int):
 
 
 def simulate_trajectory(chain: FiniteChain, nu: InitialDistribution,
-                        length: int, seed=None) -> np.ndarray:
-    """One state trajectory: ``X_1 ~ nu`` and then transition steps."""
+                        length: int, seed: int) -> np.ndarray:
+    """One state trajectory, ``X_1 ~ nu`` and then transition steps: the
+    replication 0 of ``seed`` that ``simulate --trajectory`` prints."""
     if length < 1:
         raise DomainError("length must be at least 1")
-    return _batch_states(chain, nu, length, [_as_generator(seed)])[0]
+    return _batch_states(chain, nu, length, _ReplicationStreams(seed, 0, 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -341,19 +341,19 @@ def _suites_for(args, model) -> list:
     reports = []
     for name in names:
         if name == "constants":
-            reports.append(constants_suite(chains=(args.chain,),
+            reports.append(constants_suite(chains=(model,),
                                            master_seed=args.seed))
         elif name == "oracle":
             reports.append(oracle_suite(
-                chains=(args.chain,), max_total=args.max_total,
+                chains=(model,), max_total=args.max_total,
                 replications=args.replications, master_seed=args.seed,
-                chunk_elements=args.chunk_elements))
+                start=args.start, chunk_elements=args.chunk_elements))
         elif name == "bound-dominance":
             p = args.p if args.p is not None else 2.0
             for regime in ([args.regime] if args.regime
                            else ["uniform", "gap"]):
                 reports.append(bound_dominance_suite(
-                    chain=args.chain, regime=regime,
+                    chain=model, regime=regime,
                     n_grid=n_grid,
                     replications=args.replications, master_seed=args.seed,
                     p=p, delta=args.delta, start=args.start,
@@ -361,7 +361,7 @@ def _suites_for(args, model) -> list:
         else:
             p = args.p if args.p is not None else 1.5
             reports.append(rate_suite(
-                chain=args.chain, gamma=args.gamma, p=p,
+                chain=model, gamma=args.gamma, p=p,
                 n_grid=rate_grid,
                 replications=args.replications, master_seed=args.seed,
                 chunk_elements=args.chunk_elements))

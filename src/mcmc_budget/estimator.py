@@ -207,12 +207,14 @@ def estimate_ep(model, f, n: int, n0: int, p: float, replications: int,
     return float(np.mean(deviations**p) ** (1.0 / p))
 
 
-def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> float:
-    """Exact ``E|S - mu|`` by a forward recursion over (state, partial sum).
+def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> np.ndarray:
+    """Exact ``E|S - mu|`` of every window ``1 .. n`` after burn-in ``n0``,
+    by one forward recursion over (state, partial sum).
 
     After the exact burn-in, ``mass[s, k]`` is the probability of state ``s``
     with ``k`` as the window's sum of ``f - min f`` so far: the Markov-additive
-    recursion (Asmussen 2003, *Applied Probability and Queues*, ch. XI).  It
+    recursion (Asmussen 2003, *Applied Probability and Queues*, ch. XI).  The
+    mass after ``m`` steps is window ``m + 1``, entry ``m`` of the result.  It
     costs ``O(n**2 S**2 (max f - min f))``; ``f`` needs integer differences.
     """
     if n < 1:
@@ -228,17 +230,23 @@ def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> float:
     weights = nu.nu
     for _ in range(n0):
         weights = weights @ chain.transition
-    size, width = chain.size, n * int(lift.max()) + 1
+    size, reach = chain.size, int(lift.max())
+    width = n * reach + 1
     mass = np.zeros((size, width))
     mass[np.arange(size), lift] = weights
     # an index below its row's start lands in the top max(lift) columns of
     # the row before (row 0: the last row), empty until the n-th value
     source = (np.arange(size)[:, None] * width + np.arange(width)
               - lift[:, None])
-    for _ in range(n - 1):
-        mass = (chain.transition.T @ mass).take(source)
-    means = f.min() + np.arange(width) / n
-    return float(mass.sum(axis=0) @ np.abs(means - chain.expectation(f)))
+    mu = chain.expectation(f)
+    e1 = np.empty(n)
+    for m in range(n):
+        if m:
+            mass = (chain.transition.T @ mass).take(source)
+        sums = np.arange((m + 1) * reach + 1)
+        e1[m] = mass[:, :sums.size].sum(axis=0) @ np.abs(
+            f.min() + sums / (m + 1) - mu)
+    return e1
 
 
 def rate_regression(points) -> RateFit:

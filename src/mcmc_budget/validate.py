@@ -119,9 +119,18 @@ def _default_values(model: FiniteChainModel) -> np.ndarray:
     return np.arange(model.chain.size, dtype=float)
 
 
-def _finite_only(model, suite: str) -> FiniteChainModel:
-    if not isinstance(model, FiniteChainModel):
-        raise DomainError(f"the {suite} suite needs a finite chain")
+def _model(source, suite: str, start: str | None = None):
+    """``source`` (a model, name or path) as ``suite`` runs it.  A
+    ``"point-mass"`` start restarts it from its least likely state; ``None``
+    and ``"stationary"`` keep its start law."""
+    model = resolve_model(source) if isinstance(source, str) else source
+    kind = "a continuous sampler" if suite == "rate" else "a finite chain"
+    if isinstance(model, FiniteChainModel) == (suite == "rate"):
+        raise DomainError(f"the {suite} suite needs {kind}")
+    if start == "point-mass":
+        return _point_mass_rebind(model)
+    if start not in (None, "stationary"):
+        raise DomainError("start must be 'point-mass' or 'stationary'")
     return model
 
 
@@ -138,13 +147,7 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
     constants; the check at each grid point is
     ``e1_hat <= bound(n) + margin * uncertainty``.
     """
-    model = _finite_only(
-        resolve_model(chain) if isinstance(chain, str) else chain,
-        "bound-dominance")
-    if start == "point-mass":
-        model = _point_mass_rebind(model)
-    elif start != "stationary":
-        raise DomainError("start must be 'point-mass' or 'stationary'")
+    model = _model(chain, "bound-dominance", start)
     params = model.params
     values = _default_values(model)
     f = FunctionClass(p=p, norm_p=model.lp_norm(values, p))
@@ -195,14 +198,12 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
     the left end is the heavy-tail prediction (tail index ``1/gamma``), the
     right end is the planner's guaranteed rate.
     """
-    model = resolve_model(chain) if isinstance(chain, str) else chain
-    if isinstance(model, FiniteChainModel):
-        raise DomainError("the rate suite needs a continuous sampler")
+    model = _model(chain, "rate")
     f = singular_f(gamma)
     model.lp_norm(f, p)  # fail fast if the moment diverges for this pair
     estimates = estimate_e1_windows(model, f, [(n, 0) for n in n_grid],
                                     replications, master_seed, chunk_elements)
-    rows = [CheckRow(suite="rate", chain=getattr(model, "name", str(chain)),
+    rows = [CheckRow(suite="rate", chain=model.name,
                      check=f"e1-n{est.n}", passed=est.e1_hat > 0.0,
                      n=est.n, n0=0, replications=replications,
                      e1_hat=est.e1_hat, uncertainty=est.uncertainty,
@@ -212,11 +213,10 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
     window = (gamma - 1.0 - _SLOPE_SLACK, 1.0 / p - 1.0 + _SLOPE_SLACK)
     slope_ok = window[0] <= fit.slope <= window[1]
     r2_ok = fit.r_squared >= _R2_FLOOR
-    chain_name = rows[0].chain
-    rows.append(CheckRow(suite="rate", chain=chain_name,
+    rows.append(CheckRow(suite="rate", chain=model.name,
                          check="slope-window", passed=slope_ok,
                          seed=master_seed))
-    rows.append(CheckRow(suite="rate", chain=chain_name,
+    rows.append(CheckRow(suite="rate", chain=model.name,
                          check="r-squared", passed=r2_ok, seed=master_seed))
     return ValidationReport(
         suite="rate",
@@ -235,22 +235,22 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
     """Monte Carlo versus the exact forward recursion on every small instance.
 
     For each chain, every (n, n0) with ``n + n0 <= max_total`` is checked:
-    ``|e1_hat - exact| <= margin * uncertainty``.
+    ``|e1_hat - exact| <= margin * uncertainty``.  One recursion per burn-in
+    ``n0`` gives the exact values of all its window lengths.  ``start`` is
+    ``"point-mass"`` (the least likely state) or ``"stationary"``.
     """
     rows = []
     for source in chains:
-        model = _finite_only(
-            resolve_model(source) if isinstance(source, str) else source,
-            "oracle")
-        if start == "point-mass":
-            model = _point_mass_rebind(model)
+        model = _model(source, "oracle", start)
         values = _default_values(model)
         windows = [(n, n0) for n0 in range(0, max_total)
                    for n in range(1, max_total - n0 + 1)]
         estimates = estimate_e1_windows(model, values, windows, replications,
                                         master_seed, chunk_elements)
-        for (n, n0), est in zip(windows, estimates):
-            exact = exact_e1_small(model.chain, model.nu, values, n, n0)
+        exacts = np.concatenate([
+            exact_e1_small(model.chain, model.nu, values, max_total - n0, n0)
+            for n0 in range(max_total)]).tolist()
+        for (n, n0), est, exact in zip(windows, estimates, exacts):
             gap_to_exact = abs(est.e1_hat - exact)
             allowed = _MARGIN * est.uncertainty + _FLOAT_SLACK
             rows.append(CheckRow(
@@ -280,10 +280,8 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
     floor count as zero), and detailed balance survives matrix powers.
     """
     rows = []
-    for source in chains:
-        model = _finite_only(
-            resolve_model(source) if isinstance(source, str) else source,
-            "constants")
+    models = [_model(source, "constants") for source in chains]
+    for model in models:
         params = model.params
         gap = spectral_gap_exact(model.chain)
         rows.append(CheckRow(
@@ -314,5 +312,6 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
         suite="constants",
         passed=all(row.passed for row in rows),
         rows=tuple(rows),
-        details={"horizon": _TV_HORIZON, "chains": list(chains)},
+        details={"horizon": _TV_HORIZON,
+                 "chains": [model.name for model in models]},
     )

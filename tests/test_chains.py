@@ -226,6 +226,15 @@ class TestSimulateTrajectory:
         for seed in range(5):
             assert simulate_trajectory(chain, nu, 3, seed=seed)[0] == 1
 
+    def test_seed_is_a_required_nonnegative_integer(self):
+        chain = FiniteChain.from_matrix(TWO_STATE)
+        nu = InitialDistribution.stationary(chain)
+        with pytest.raises(TypeError):
+            simulate_trajectory(chain, nu, 5)
+        for seed in (-1, 1.5, None):
+            with pytest.raises(DomainError, match="master seed"):
+                simulate_trajectory(chain, nu, 5, seed=seed)
+
     def test_stationary_frequencies(self):
         model = make_chain("two-state")
         rngs = [derived_rng(2024, r) for r in range(200)]

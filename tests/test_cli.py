@@ -19,7 +19,9 @@ from mcmc_budget.bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from mcmc_budget.chains import derived_rng, load_chain, make_chain
+from mcmc_budget import chains
+from mcmc_budget.chains import (derived_rng, load_chain, make_chain,
+                                simulate_trajectory)
 from mcmc_budget.cli import build_parser, main
 from mcmc_budget.estimator import estimate_e1
 from mcmc_budget.planner import (
@@ -27,6 +29,8 @@ from mcmc_budget.planner import (
     budget_for_delta,
     plan_uniform,
 )
+from mcmc_budget.validate import oracle_suite
+
 
 F01 = np.array([0.0, 1.0])
 
@@ -314,6 +318,18 @@ class TestSimulate:
         assert [row["step"] for row in rows] == ["1", "2", "3", "4"]
         assert [row["value"] for row in rows] == [fmt(v) for v in values]
 
+    @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3"])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_trajectory_is_replication_zero_of_the_api(self, capsys, name,
+                                                       seed):
+        model = make_chain(name)
+        states = simulate_trajectory(model.chain, model.nu, 12, seed=seed)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--chain", name, "--n", "12", "--trajectory",
+            "--seed", str(seed), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["values"] == states.astype(float).tolist()
+
     def test_wrong_f_length_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--chain", "two-state", "--f", "0,1,2",
@@ -427,6 +443,40 @@ class TestValidateCommand:
             "oracle", "--replications", "2000")
         assert code == 0
         assert len(parse_csv(out)) == 36
+
+    def test_oracle_suite_takes_the_start(self, capsys):
+        argv = ("validate", "--chain", "two-state", "--suite", "oracle",
+                "--max-total", "3", "--replications", "4000", "--seed", "5",
+                "--format", "json")
+        rows = {}
+        for start in ("point-mass", "stationary"):
+            code, out, _ = run_cli(capsys, *argv, "--start", start)
+            assert code == 0
+            rows[start], = (suite["rows"]
+                            for suite in json.loads(out)["suites"])
+        report = oracle_suite(("two-state",), max_total=3,
+                              replications=4000, master_seed=5,
+                              start="stationary")
+        assert rows["stationary"] == [row.as_dict() for row in report.rows]
+        assert rows["stationary"] != rows["point-mass"]
+
+    def test_all_suites_build_the_model_once(self, capsys, monkeypatch):
+        finite_model, built = chains.finite_model, []
+
+        def counting_finite_model(*args, **kwargs):
+            built.append(args)
+            return finite_model(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "finite_model", counting_finite_model)
+        code, out, _ = run_cli(
+            capsys, "validate", "--chain", "lazy-cycle-4", "--suite", "all",
+            "--max-total", "3", "--n-grid", "10,20", "--replications",
+            "500")
+        assert code == 0
+        assert {row["suite"] for row in parse_csv(out)} == {
+            "constants", "oracle", "bound-dominance-uniform",
+            "bound-dominance-gap"}
+        assert len(built) == 1
 
     def test_bound_dominance_quick(self, capsys):
         code, out, _ = run_cli(

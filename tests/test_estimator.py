@@ -294,43 +294,45 @@ class TestExactE1Small:
     def test_one_step_oracle(self):
         model = two_state_model()
         value = exact_e1_small(model.chain, model.nu, F01, n=1, n0=0)
-        assert value == pytest.approx(4 / 9, rel=1e-14)
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(4 / 9, rel=1e-14)
 
     def test_two_step_oracle(self):
         # 4 paths: 0.6*(1/3) + (1/15)*(1/6) + (1/15)*(1/6) + (4/15)*(2/3)
         model = two_state_model()
         value = exact_e1_small(model.chain, model.nu, F01, n=2, n0=0)
-        assert value == pytest.approx(0.4, rel=1e-14)
+        assert value.tolist() == pytest.approx([4 / 9, 0.4], rel=1e-14)
 
     def test_burnin_oracle(self):
         # start in state 2, one burn-in step: X_2 ~ (0.2, 0.8), so
         # e1 = 0.2*(1/3) + 0.8*(2/3) = 0.6
         model = two_state_model(nu_state=1)
         value = exact_e1_small(model.chain, model.nu, F01, n=1, n0=1)
-        assert value == pytest.approx(0.6, rel=1e-14)
+        assert value[0] == pytest.approx(0.6, rel=1e-14)
 
     def test_constant_function(self):
         model = two_state_model()
         value = exact_e1_small(model.chain, model.nu,
                                np.array([3.0, 3.0]), n=4, n0=2)
-        assert value == 0.0
+        assert value.tolist() == [0.0] * 4
 
     def test_former_budget_instance_matches_enumeration(self):
         # 2**24 paths counting burn-in were once refused; 2**20 are summed
         model = two_state_model()
         value = exact_e1_small(model.chain, model.nu, F01, n=20, n0=4)
-        reference = enumerated_e1(model.chain, model.nu, F01, n=20, n0=4)
-        assert value == pytest.approx(reference, rel=1e-14)
+        for n in range(1, 21):
+            reference = enumerated_e1(model.chain, model.nu, F01, n, n0=4)
+            assert value[n - 1] == pytest.approx(reference, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3"])
     def test_oracle_windows_match_enumeration(self, name):
         model = _point_mass_rebind(make_chain(name))
         f = np.arange(model.chain.size, dtype=float)
         for n0 in range(8):
+            value = exact_e1_small(model.chain, model.nu, f, 8 - n0, n0)
             for n in range(1, 9 - n0):
-                value = exact_e1_small(model.chain, model.nu, f, n, n0)
                 reference = enumerated_e1(model.chain, model.nu, f, n, n0)
-                assert value == pytest.approx(reference, rel=1e-14)
+                assert value[n - 1] == pytest.approx(reference, rel=1e-14)
 
     @pytest.mark.parametrize("n0", [0, 3])
     def test_dense_chain_with_gaps_in_f_matches_enumeration(self, n0):
@@ -339,10 +341,20 @@ class TestExactE1Small:
                                                             keepdims=True))
         nu = InitialDistribution.against([0.1, 0.2, 0.3, 0.4], chain)
         f = np.array([0.0, 2.0, 3.0, 7.0])
+        value = exact_e1_small(chain, nu, f, 7, n0)
         for n in range(1, 8):
-            value = exact_e1_small(chain, nu, f, n, n0)
             reference = enumerated_e1(chain, nu, f, n, n0)
-            assert value == pytest.approx(reference, rel=1e-14)
+            assert value[n - 1] == pytest.approx(reference, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3"])
+    def test_shorter_runs_are_prefixes(self, name):
+        # a longer recursion passes through every shorter window unchanged
+        model = _point_mass_rebind(make_chain(name))
+        f = np.arange(model.chain.size, dtype=float)
+        full = exact_e1_small(model.chain, model.nu, f, 8, 2)
+        for n in range(1, 8):
+            prefix = exact_e1_small(model.chain, model.nu, f, n, 2)
+            assert prefix.tolist() == full[:n].tolist()
 
     def test_non_integer_differences_raise(self):
         model = two_state_model()
@@ -351,7 +363,7 @@ class TestExactE1Small:
 
     def test_monte_carlo_agreement_two_state(self):
         model = two_state_model(nu_state=0)
-        exact = exact_e1_small(model.chain, model.nu, F01, n=3, n0=2)
+        exact = exact_e1_small(model.chain, model.nu, F01, n=3, n0=2)[-1]
         est = estimate_e1(model, F01, n=3, n0=2, replications=30000,
                           master_seed=101)
         assert abs(est.e1_hat - exact) <= 4 * est.uncertainty
@@ -359,7 +371,7 @@ class TestExactE1Small:
     def test_monte_carlo_agreement_three_state(self):
         model = make_chain("lazy-cycle-3")
         f = np.array([0.0, 1.0, 2.0])
-        exact = exact_e1_small(model.chain, model.nu, f, n=2, n0=1)
+        exact = exact_e1_small(model.chain, model.nu, f, n=2, n0=1)[-1]
         est = estimate_e1(model, f, n=2, n0=1, replications=30000,
                           master_seed=202)
         assert abs(est.e1_hat - exact) <= 4 * est.uncertainty

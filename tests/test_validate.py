@@ -13,7 +13,8 @@ import pytest
 
 from mcmc_budget.chains import (InitialDistribution, finite_model,
                                 make_chain, singular_f)
-from mcmc_budget.estimator import estimate_e1
+from mcmc_budget import validate
+from mcmc_budget.estimator import estimate_e1, exact_e1_small
 from mcmc_budget.exceptions import ChainValidationError, DomainError
 from mcmc_budget.validate import (
     CSV_COLUMNS,
@@ -76,6 +77,25 @@ class TestOracleSuite:
             assert row.bound_total is not None  # carries the exact value
             assert (abs(row.e1_hat - row.bound_total)
                     <= 4 * row.uncertainty + 1e-12)
+
+    def test_rejects_unknown_start(self):
+        with pytest.raises(DomainError, match="start"):
+            oracle_suite(max_total=3, replications=100, start="bogus")
+
+    def test_one_exact_recursion_per_burnin(self, monkeypatch):
+        calls = []
+
+        def counting_exact(chain, nu, f_values, n, n0):
+            calls.append((n, n0))
+            return exact_e1_small(chain, nu, f_values, n, n0)
+
+        monkeypatch.setattr(validate, "exact_e1_small", counting_exact)
+        report = oracle_suite(("lazy-cycle-3",), max_total=4,
+                              replications=500)
+        assert calls == [(4, 0), (3, 1), (2, 2), (1, 3)]
+        assert [(row.n, row.n0) for row in report.rows] == [
+            (n, n0) for n0 in range(4) for n in range(1, 5 - n0)]
+        assert all(type(row.passed) is bool for row in report.rows)
 
     def test_deterministic(self):
         a = oracle_suite(max_total=3, replications=5000, master_seed=77)

@@ -11,12 +11,11 @@ variance is infinite, which no finite state space can produce.
 Randomness is counter-based (Philox) and derived per replication from a
 master seed, so every simulation is reproducible independently of execution
 order, chunking, or thread count.  Replication ``r`` of master seed ``s``
-draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  The Philox
-keys of a whole chunk of replications are derived in one vectorised pass
-that reproduces numpy's ``SeedSequence`` hash, and one generator is re-keyed
-per replication, so every stream is the one the per-replication
-``SeedSequence`` gives.  Short draws skip the generator: a numpy Philox
-block function computes them for the whole chunk from the same keys.
+draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  A chunk of
+replications is one :class:`_ReplicationStreams`, whose keys are derived in
+one vectorised pass that reproduces numpy's ``SeedSequence`` hash; every
+sampler is a function of its uniform matrix.  Short rows come from a numpy
+Philox block function, longer ones from one generator re-keyed per row.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
@@ -49,7 +48,6 @@ __all__ = [
     "InitialDistribution",
     "PowerLawDensity",
     "SingularFunction",
-    "derived_rng",
     "finite_model",
     "indep_mh_sampler",
     "load_chain",
@@ -116,7 +114,8 @@ def _stream_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
     output hash run over the replications, as uint32 arrays.  Indices
     must be below 2**32, where numpy's spawn key is a single word.
     """
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+    if isinstance(master_seed, bool) or \
+            not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise DomainError("master seed must be a nonnegative integer")
     master_seed = int(master_seed)
     if not 0 <= start <= stop <= 2**32:
@@ -140,43 +139,6 @@ def _stream_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
     hash_out = _word_hasher(_INIT_B, _MULT_B)
     out = [hash_out(entry).astype(np.uint64) for entry in pool]
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
-
-
-def derived_rng(master_seed: int, replication: int) -> np.random.Generator:
-    """Counter-based generator for one replication of one experiment.
-
-    It draws the stream of ``Philox(SeedSequence(entropy=master_seed,
-    spawn_key=(replication,)))``.
-    """
-    key = _stream_keys(master_seed, replication, replication + 1)[0]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-class _ReplicationStreams:
-    """The generators of replications ``start .. stop-1``, in order.
-
-    One Philox generator serves every replication: before each item it is
-    re-keyed to counter 0 with an empty buffer, the state a fresh
-    :func:`derived_rng` starts in.  Every item is the same ``Generator``,
-    valid until the next item is taken, so draw from it before advancing.
-    ``keys`` holds the streams' Philox keys, one row each.
-    """
-
-    def __init__(self, master_seed: int, start: int, stop: int):
-        self.keys = _stream_keys(master_seed, start, stop)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self):
-        bitgen = np.random.Philox(0)
-        rng = np.random.Generator(bitgen)
-        for key in self.keys.tolist():
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": (0, 0, 0, 0), "key": key},
-                            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
-            yield rng
 
 
 # Philox4x64-10 (Salmon et al., SC 2011) as numpy's Philox computes it.
@@ -246,20 +208,34 @@ def _philox_uniforms(keys: np.ndarray, width: int) -> np.ndarray:
     return draws
 
 
-def _uniform_draws(rngs, width: int) -> np.ndarray:
-    """``width`` uniforms per generator: row ``r`` holds exactly what
-    ``rngs[r].random(width)`` would return.
+class _ReplicationStreams:
+    """The streams of replications ``start .. stop-1``, in order; samplers
+    draw only through :meth:`uniforms`.  ``keys`` holds the streams'
+    Philox keys, one row each."""
 
-    Replication streams of at most :data:`_PHILOX_MAX_WIDTH` draws come
-    from the numpy block function; other rows are written in place by
-    their generators.
-    """
-    if isinstance(rngs, _ReplicationStreams) and width <= _PHILOX_MAX_WIDTH:
-        return _philox_uniforms(rngs.keys, width)
-    draws = np.empty((len(rngs), width))
-    for rng, row in zip(rngs, draws):
-        rng.random(out=row)
-    return draws
+    def __init__(self, master_seed: int, start: int, stop: int):
+        self.keys = _stream_keys(master_seed, start, stop)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def uniforms(self, width: int) -> np.ndarray:
+        """The first ``width`` uniforms of every stream, one row each:
+        from the block function up to :data:`_PHILOX_MAX_WIDTH`, else
+        written by one generator re-keyed before each row to counter 0
+        with an empty buffer, the state a fresh generator starts in."""
+        if width <= _PHILOX_MAX_WIDTH:
+            return _philox_uniforms(self.keys, width)
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        draws = np.empty((len(self.keys), width))
+        for key, row in zip(self.keys.tolist(), draws):
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": (0, 0, 0, 0), "key": key},
+                            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0}
+            rng.random(out=row)
+        return draws
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -521,18 +497,17 @@ def _worst_start_tv(chain: FiniteChain, horizon: int):
 # simulation
 
 
-def _batch_states(chain: FiniteChain, nu: InitialDistribution, length: int,
-                  rngs) -> np.ndarray:
-    """State trajectories, one row per generator, by inverse-CDF stepping.
+def _batch_states(chain: FiniteChain, nu: InitialDistribution,
+                  draws: np.ndarray) -> np.ndarray:
+    """Trajectories by inverse-CDF stepping, one per row of ``draws``.
 
-    Row ``r`` depends only on ``rngs[r]``, so results are identical however
+    Row ``r`` depends only on ``draws[r]``, so results are identical however
     replications are grouped into batches.  A state is the count of CDF
     entries below its draw.  A step counts them per distinct level of the
     current state's row (see :func:`_level_table`): ``x = sum_k counts[k,
     x] * (levels[k, x] < u)``, unweighted when every count is 1.  The last
     entry is 1.0 and never below a draw in [0, 1), so it is left out.
     """
-    draws = _uniform_draws(rngs, length)
     # the states overwrite the draws they are stepped from: a column is
     # written only after it has been read (column 0) or copied (blocks)
     states = draws.view(np.int64)
@@ -571,7 +546,8 @@ def simulate_trajectory(chain: FiniteChain, nu: InitialDistribution,
     replication 0 of ``seed`` that ``simulate --trajectory`` prints."""
     if length < 1:
         raise DomainError("length must be at least 1")
-    return _batch_states(chain, nu, length, _ReplicationStreams(seed, 0, 1))[0]
+    draws = _ReplicationStreams(seed, 0, 1).uniforms(length)
+    return _batch_states(chain, nu, draws)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +653,9 @@ class IidUniformSampler(_ContinuousSampler):
                                   reversible=True)
 
     def batch_values(self, f: SingularFunction, length: int,
-                     rngs) -> np.ndarray:
-        # the values overwrite their draws: one matrix per chunk, not two
-        draws = _uniform_draws(rngs, length)
+                     streams) -> np.ndarray:
+        # f of each stream's first `length` uniforms, written over them
+        draws = streams.uniforms(length)
         return f(draws, out=draws)
 
 
@@ -692,18 +668,18 @@ class IndepMHSampler(_ContinuousSampler):
     Trajectories start from the target itself, so ``dratio = 0``.
     """
 
-    name = "indep-mh"
-
-    def __init__(self, target: PowerLawDensity) -> None:
+    def __init__(self, target: PowerLawDensity,
+                 name: str = "indep-mh") -> None:
+        self.name = name
         self.target = target
         inv_beta = 1.0 / target.beta
         self.params = ChainParams(gap=inv_beta, alpha=1.0 - inv_beta,
                                   big_m=1.0, dratio=0.0, reversible=True)
 
-    def batch_values(self, f, length: int, rngs) -> np.ndarray:
-        # one initial inverse-CDF draw, then a (proposal, acceptance) pair
-        # per step; row r consumes only rngs[r], keeping batching irrelevant
-        draws = _uniform_draws(rngs, 2 * length - 1)
+    def batch_values(self, f, length: int, streams) -> np.ndarray:
+        # a row's own uniforms: one initial inverse-CDF draw, then a
+        # (proposal, acceptance) pair per step, keeping batching irrelevant
+        draws = streams.uniforms(2 * length - 1)
         x = self.target.inverse_cdf(draws[:, 0])
         values = np.empty((draws.shape[0], length))
         values[:, 0] = f(x)
@@ -747,9 +723,9 @@ class FiniteChainModel:
         weights = np.abs(np.asarray(f_values, dtype=float)) ** p
         return float(self.chain.stationary @ weights) ** (1.0 / p)
 
-    def batch_values(self, f_values, length: int, rngs) -> np.ndarray:
+    def batch_values(self, f_values, length: int, streams) -> np.ndarray:
         f = np.asarray(f_values, dtype=float)
-        return f[_batch_states(self.chain, self.nu, length, rngs)]
+        return f[_batch_states(self.chain, self.nu, streams.uniforms(length))]
 
 
 def finite_model(chain: FiniteChain, nu: InitialDistribution | None = None,
@@ -787,7 +763,7 @@ def make_chain(name: str):
     if name == "iid-uniform":
         return IidUniformSampler()
     if name == "indep-mh-2x":
-        return IndepMHSampler(PowerLawDensity(1.0))
+        return IndepMHSampler(PowerLawDensity(1.0), name)
     raise DomainError(f"unknown chain name: {name!r}")
 
 

@@ -144,15 +144,11 @@ def _parse_values(text: str) -> np.ndarray:
 # handlers
 
 
-def _chain_params_from_flags(args, need_alpha: bool) -> ChainParams:
-    alpha = args.alpha
-    big_m = args.big_m
-    if need_alpha:
-        if alpha is None:
-            raise _UsageError("this regime requires --alpha")
-        if big_m is None:
-            big_m = 1.0
-    return ChainParams(gap=args.gap, alpha=alpha, big_m=big_m,
+def _chain_params_from_flags(args) -> ChainParams:
+    if args.alpha is None:
+        raise _UsageError("this regime requires --alpha")
+    big_m = 1.0 if args.big_m is None else args.big_m
+    return ChainParams(gap=args.gap, alpha=args.alpha, big_m=big_m,
                        dratio=args.dratio)
 
 
@@ -164,7 +160,7 @@ def cmd_bound(args) -> int:
                dratio=args.dratio, delta=args.delta, n0=args.n0)
     if args.regime == "uniform":
         breakdown = uniform_error_bound(
-            args.n, _chain_params_from_flags(args, need_alpha=True), f)
+            args.n, _chain_params_from_flags(args), f)
         row.update(leading=breakdown.leading,
                    higher_order=breakdown.higher_order,
                    total=breakdown.total)
@@ -178,7 +174,7 @@ def cmd_bound(args) -> int:
     elif args.regime == "refined-uniform":
         if args.n0 is None:
             raise _UsageError("the refined-uniform regime requires --n0")
-        params = _chain_params_from_flags(args, need_alpha=True)
+        params = _chain_params_from_flags(args)
         row.update(big_m=params.big_m,
                    total=args.norm * refined_uniform_bound(
                        args.n, args.n0, params, args.p))
@@ -303,11 +299,11 @@ def cmd_simulate(args) -> int:
         length = args.n + args.n0
         values = model.batch_values(
             f, length, _ReplicationStreams(args.seed, 0, 1))[0]
-        rows = [{"chain": args.chain, "step": step + 1,
+        rows = [{"chain": model.name, "step": step + 1,
                  "value": float(value), "seed": args.seed}
                 for step, value in enumerate(values)]
         payload = {"command": "simulate", "mode": "trajectory",
-                   "chain": args.chain, "seed": args.seed,
+                   "chain": model.name, "seed": args.seed,
                    "values": [float(v) for v in values]}
         _emit(args, _TRAJECTORY_COLUMNS, rows, payload)
         return 0
@@ -317,7 +313,7 @@ def cmd_simulate(args) -> int:
     # the uniform bound applies only after the regime's burn-in
     bound = (uniform_error_bound(args.n, model.params, f_class).total
              if args.n0 >= uniform_burnin(model.params) else None)
-    row = {"chain": args.chain, "n": args.n, "n0": args.n0,
+    row = {"chain": model.name, "n": args.n, "n0": args.n0,
            "replications": args.replications, "e1_hat": estimate.e1_hat,
            "uncertainty": estimate.uncertainty, "bound_total": bound,
            "seed": args.seed}
@@ -373,7 +369,7 @@ def cmd_validate(args) -> int:
     reports = _suites_for(args, model)
     rows = [row.as_dict() for report in reports for row in report.rows]
     passed = all(report.passed for report in reports)
-    payload = {"command": "validate", "chain": args.chain, "passed": passed,
+    payload = {"command": "validate", "chain": model.name, "passed": passed,
                "suites": [{"suite": report.suite, "passed": report.passed,
                            "details": report.details,
                            "rows": [row.as_dict() for row in report.rows]}

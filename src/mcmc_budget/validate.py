@@ -119,19 +119,23 @@ def _default_values(model: FiniteChainModel) -> np.ndarray:
     return np.arange(model.chain.size, dtype=float)
 
 
-def _model(source, suite: str, start: str | None = None):
-    """``source`` (a model, name or path) as ``suite`` runs it.  A
-    ``"point-mass"`` start restarts it from its least likely state; ``None``
-    and ``"stationary"`` keep its start law."""
-    model = resolve_model(source) if isinstance(source, str) else source
-    kind = "a continuous sampler" if suite == "rate" else "a finite chain"
-    if isinstance(model, FiniteChainModel) == (suite == "rate"):
-        raise DomainError(f"the {suite} suite needs {kind}")
-    if start == "point-mass":
-        return _point_mass_rebind(model)
-    if start not in (None, "stationary"):
+def _models(sources, suite: str, start: str | None = None) -> list:
+    """``sources`` (models, names or paths; at least one) as ``suite`` runs
+    them.  A ``"point-mass"`` start restarts each from its least likely
+    state; ``None`` and ``"stationary"`` keep its start law."""
+    if start not in (None, "point-mass", "stationary"):
         raise DomainError("start must be 'point-mass' or 'stationary'")
-    return model
+    if not sources:
+        raise DomainError("at least one chain is required")
+    kind = "a continuous sampler" if suite == "rate" else "a finite chain"
+    models = []
+    for source in sources:
+        model = resolve_model(source) if isinstance(source, str) else source
+        if isinstance(model, FiniteChainModel) == (suite == "rate"):
+            raise DomainError(f"the {suite} suite needs {kind}")
+        models.append(_point_mass_rebind(model) if start == "point-mass"
+                      else model)
+    return models
 
 
 def bound_dominance_suite(chain="two-state", regime: str = "uniform",
@@ -147,7 +151,7 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
     constants; the check at each grid point is
     ``e1_hat <= bound(n) + margin * uncertainty``.
     """
-    model = _model(chain, "bound-dominance", start)
+    [model] = _models((chain,), "bound-dominance", start)
     params = model.params
     values = _default_values(model)
     f = FunctionClass(p=p, norm_p=model.lp_norm(values, p))
@@ -198,7 +202,7 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
     the left end is the heavy-tail prediction (tail index ``1/gamma``), the
     right end is the planner's guaranteed rate.
     """
-    model = _model(chain, "rate")
+    [model] = _models((chain,), "rate")
     f = singular_f(gamma)
     model.lp_norm(f, p)  # fail fast if the moment diverges for this pair
     estimates = estimate_e1_windows(model, f, [(n, 0) for n in n_grid],
@@ -240,8 +244,7 @@ def oracle_suite(chains=("two-state", "lazy-cycle-3"), max_total: int = 8,
     ``"point-mass"`` (the least likely state) or ``"stationary"``.
     """
     rows = []
-    for source in chains:
-        model = _model(source, "oracle", start)
+    for model in _models(chains, "oracle", start):
         values = _default_values(model)
         windows = [(n, n0) for n0 in range(0, max_total)
                    for n in range(1, max_total - n0 + 1)]
@@ -280,7 +283,7 @@ def constants_suite(chains=("two-state", "lazy-cycle-3", "lazy-cycle-4",
     floor count as zero), and detailed balance survives matrix powers.
     """
     rows = []
-    models = [_model(source, "constants") for source in chains]
+    models = _models(chains, "constants")
     for model in models:
         params = model.params
         gap = spectral_gap_exact(model.chain)

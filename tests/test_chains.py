@@ -8,13 +8,16 @@ decay exactly proportional to 0.7**n with per-start constants 1/3 and 2/3
 """
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mcmc_budget
 from mcmc_budget.chains import (
     TV_RESOLUTION,
     FiniteChain,
@@ -23,7 +26,6 @@ from mcmc_budget.chains import (
     IndepMHSampler,
     InitialDistribution,
     PowerLawDensity,
-    derived_rng,
     indep_mh_sampler,
     load_chain,
     make_chain,
@@ -37,7 +39,6 @@ from mcmc_budget.chains import (
     _philox_uniforms,
     _ReplicationStreams,
     _stream_keys,
-    _uniform_draws,
 )
 from mcmc_budget.exceptions import (
     ChainValidationError,
@@ -231,14 +232,14 @@ class TestSimulateTrajectory:
         nu = InitialDistribution.stationary(chain)
         with pytest.raises(TypeError):
             simulate_trajectory(chain, nu, 5)
-        for seed in (-1, 1.5, None):
+        for seed in (-1, 1.5, None, True):
             with pytest.raises(DomainError, match="master seed"):
                 simulate_trajectory(chain, nu, 5, seed=seed)
 
     def test_stationary_frequencies(self):
         model = make_chain("two-state")
-        rngs = [derived_rng(2024, r) for r in range(200)]
-        vals = model.batch_values(np.array([0.0, 1.0]), 1000, rngs)
+        vals = model.batch_values(np.array([0.0, 1.0]), 1000,
+                                  _ReplicationStreams(2024, 0, 200))
         freq_state2 = vals.mean()
         # pooled standard error with autocorrelation factor ~ (1+alpha)/gap
         se = math.sqrt((2 / 9) * 5.67 / vals.size)
@@ -336,17 +337,16 @@ class TestContinuousSamplers:
     def test_iid_values_are_the_uniform_stream(self):
         s = IidUniformSampler()
         f = singular_f(0.5)
-        rng = derived_rng(7, 0)
-        got = s.batch_values(f, 6, [rng])[0]
-        want = f(derived_rng(7, 0).random(6))
+        got = s.batch_values(f, 6, _ReplicationStreams(7, 0, 1))[0]
+        want = f(_seed_sequence_rng(7, 0).random(6))
         assert np.array_equal(got, want)
 
     def test_mh_uniform_target_is_iid(self):
         s = indep_mh_sampler(PowerLawDensity(0.0))
         assert s.params.alpha == 0.0
         f = singular_f(0.5)
-        got = s.batch_values(f, 4, [derived_rng(3, 0)])[0]
-        u = derived_rng(3, 0).random(7)
+        got = s.batch_values(f, 4, _ReplicationStreams(3, 0, 1))[0]
+        u = _seed_sequence_rng(3, 0).random(7)
         # initial inverse-CDF draw, then every accepted proposal
         assert got == pytest.approx(f(np.array([u[0], u[1], u[3], u[5]])))
 
@@ -360,16 +360,15 @@ class TestContinuousSamplers:
 
     def test_mh_2x_stationary_mean(self):
         s = make_chain("indep-mh-2x")
-        rngs = [derived_rng(11, r) for r in range(400)]
-        vals = s.batch_values(lambda x: x, 500, rngs)
+        vals = s.batch_values(lambda x: x, 500,
+                              _ReplicationStreams(11, 0, 400))
         se = math.sqrt((1 / 18) * 3.0 / vals.size)
         assert abs(vals.mean() - 2 / 3) < 4 * se
 
     def test_mh_acceptance_reversibility_sanity(self):
         # accepted fraction for the 2x target is E[min(1, y/x)] > 1/2
         s = make_chain("indep-mh-2x")
-        vals = s.batch_values(lambda x: x, 300, [derived_rng(5, r)
-                                                 for r in range(50)])
+        vals = s.batch_values(lambda x: x, 300, _ReplicationStreams(5, 0, 50))
         moved = (np.diff(vals, axis=1) != 0).mean()
         assert 0.5 < moved < 0.9
 
@@ -449,22 +448,6 @@ class TestZoo:
             load_chain(document)
 
 
-def test_derived_rng_streams_are_stable_and_distinct():
-    a1 = derived_rng(42, 0).random(4)
-    a2 = derived_rng(42, 0).random(4)
-    b = derived_rng(42, 1).random(4)
-    assert np.array_equal(a1, a2)
-    assert not np.array_equal(a1, b)
-
-
-@pytest.mark.parametrize("width", [1, 5, 1000])
-def test_uniform_draws_rows_are_the_replication_streams(width):
-    draws = _uniform_draws([derived_rng(42, r) for r in range(4)], width)
-    assert draws.shape == (4, width)
-    for r, row in enumerate(draws):
-        assert np.array_equal(row, derived_rng(42, r).random(width))
-
-
 # ---------------------------------------------------------------------------
 # vectorised stream derivation and time-major stepping
 
@@ -493,11 +476,13 @@ def test_stream_keys_match_seed_sequence(master_seed, start, stop):
 
 
 @pytest.mark.parametrize("master_seed, start, stop", [
-    (-1, 0, 3), (1.5, 0, 3), (5, -1, 3), (5, 2**32 - 1, 2**32 + 1)])
+    (-1, 0, 3), (1.5, 0, 3), (True, 0, 3), (5, -1, 3),
+    (5, 2**32 - 1, 2**32 + 1)])
 def test_stream_keys_reject_bad_seeds_and_indices(master_seed, start, stop):
-    # numpy spawns an index of 2**32 or more with a two-word key
+    # numpy spawns an index of 2**32 or more with a two-word key; a bool is
+    # an int to Python but not a seed
     with pytest.raises(DomainError):
-        _stream_keys(master_seed, start, stop)
+        _ReplicationStreams(master_seed, start, stop)
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32, 2**130 + 7])
@@ -514,16 +499,18 @@ def test_philox_block_function_is_numpy_philox(master_seed, rows):
         assert np.array_equal(got, want[:, :width])
 
 
-@pytest.mark.parametrize("width", [1, 8, 16, 17, 1000])
+@pytest.mark.parametrize("width", [1, 5, 8, 16, 17, 1000])
 def test_rekeyed_streams_are_the_seed_sequence_streams(width):
-    streams = _ReplicationStreams(2024, 5, 17)
-    assert len(streams) == 12
-    draws = _uniform_draws(streams, width)
-    assert np.array_equal(
-        draws, _uniform_draws([derived_rng(2024, r) for r in range(5, 17)],
-                              width))
-    for r, row in zip(range(5, 17), draws):
-        assert np.array_equal(row, _seed_sequence_rng(2024, r).random(width))
+    # 2049 rows cross a row slice of the block function, which serves up to
+    # 16 draws; wider rows come from the re-keyed generator
+    for start, stop in ((5, 17), (0, 2049)):
+        streams = _ReplicationStreams(2024, start, stop)
+        assert len(streams) == stop - start
+        draws = streams.uniforms(width)
+        assert draws.shape == (stop - start, width)
+        for r, row in zip(range(start, stop), draws):
+            assert np.array_equal(row,
+                                  _seed_sequence_rng(2024, r).random(width))
 
 
 def _reference_states(chain, nu, length, master_seed, rows):
@@ -534,7 +521,7 @@ def _reference_states(chain, nu, length, master_seed, rows):
     cum_rows[:, -1] = 1.0
     states = np.empty((rows, length), dtype=np.int64)
     for r in range(rows):
-        u = derived_rng(master_seed, r).random(length)
+        u = _seed_sequence_rng(master_seed, r).random(length)
         x = int((cum_nu < u[0]).sum())
         states[r, 0] = x
         for t in range(1, length):
@@ -553,21 +540,11 @@ def _reference_states(chain, nu, length, master_seed, rows):
 ], ids=["two-state", "lazy-cycle-50", "zero-tail-json"])
 def test_time_major_stepping_matches_per_row_reference(model):
     length, rows = 301, 9   # more steps than one time-major block
-    got = _batch_states(model.chain, model.nu, length,
-                        _ReplicationStreams(31, 0, rows))
+    got = _batch_states(model.chain, model.nu,
+                        _ReplicationStreams(31, 0, rows).uniforms(length))
     want = _reference_states(model.chain, model.nu, length, 31, rows)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
-
-
-class _PresetDraws:
-    """A generator stand-in: ``random(out=row)`` writes preset draws."""
-
-    def __init__(self, draws):
-        self.draws = draws
-
-    def random(self, out):
-        out[:] = self.draws
 
 
 def _on_level_walks(chain, nu, length, rows, seed):
@@ -634,7 +611,7 @@ def _random_dense(size, seed):
 def test_level_stepping_is_the_full_count(chain):
     nu = InitialDistribution.stationary(chain)
     draws, want = _on_level_walks(chain, nu, 300, 6, seed=chain.size)
-    got = _batch_states(chain, nu, 300, [_PresetDraws(row) for row in draws])
+    got = _batch_states(chain, nu, draws)
     assert np.array_equal(got, want)
 
 
@@ -659,9 +636,27 @@ def test_indep_mh_values_do_not_depend_on_chunking():
     assert whole.flags.c_contiguous
     assert np.array_equal(whole, pieces)
     # row 3 against a scalar walk over its own stream
-    u = derived_rng(13, 3).random(599)
+    u = _seed_sequence_rng(13, 3).random(599)
     x = math.sqrt(u[0])
     for t in range(1, 300):
         if u[2 * t] * 2 * x <= 2 * u[2 * t - 1]:
             x = u[2 * t - 1]
         assert whole[3, t] == pytest.approx(x ** -0.65, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+def test_public_names_resolve():
+    # a deleted public name must not leave a stale export behind
+    modules = [mcmc_budget] + [
+        importlib.import_module(f"mcmc_budget.{info.name}")
+        for info in pkgutil.iter_modules(mcmc_budget.__path__)]
+    exported = {module.__name__: getattr(module, "__all__", ())
+                for module in modules}
+    assert exported["mcmc_budget"] and exported["mcmc_budget.chains"]
+    stale = [(module.__name__, name) for module in modules
+             for name in exported[module.__name__]
+             if not hasattr(module, name)]
+    assert stale == []

@@ -20,7 +20,7 @@ from mcmc_budget.bounds import (
     uniform_error_bound,
 )
 from mcmc_budget import chains
-from mcmc_budget.chains import (derived_rng, load_chain, make_chain,
+from mcmc_budget.chains import (_ReplicationStreams, load_chain, make_chain,
                                 simulate_trajectory)
 from mcmc_budget.cli import build_parser, main
 from mcmc_budget.estimator import estimate_e1
@@ -309,7 +309,7 @@ class TestSimulate:
 
     def test_trajectory_mode(self, capsys):
         model = make_chain("two-state")
-        values = model.batch_values(F01, 4, [derived_rng(9, 0)])[0]
+        values = model.batch_values(F01, 4, _ReplicationStreams(9, 0, 1))[0]
         code, out, _ = run_cli(
             capsys, "simulate", "--chain", "two-state", "--f", "0,1",
             "--n", "3", "--n0", "1", "--trajectory", "--seed", "9")
@@ -405,6 +405,39 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert "reducible" in err
+
+    def test_chain_file_is_named_as_validate_names_it(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"matrix": [[0.9, 0.1], [0.2, 0.8]]}))
+        simulate = ("simulate", "--chain", str(path), "--n", "3")
+        _, out, _ = run_cli(capsys, *simulate, "--trajectory")
+        names = [row["chain"] for row in parse_csv(out)]
+        _, out, _ = run_cli(capsys, *simulate, "--trajectory", "--format",
+                            "json")
+        names.append(json.loads(out)["chain"])
+        _, out, _ = run_cli(capsys, *simulate, "--replications", "20")
+        names += [row["chain"] for row in parse_csv(out)]
+        _, out, _ = run_cli(capsys, "validate", "--chain", str(path),
+                            "--suite", "constants", "--format", "json")
+        payload = json.loads(out)
+        names.append(payload["chain"])
+        names += [row["chain"] for suite in payload["suites"]
+                  for row in suite["rows"]]
+        assert len(names) == 3 + 1 + 1 + 1 + 3
+        assert set(names) == {"chain.json"}
+
+    def test_built_in_sampler_is_named_as_typed(self, capsys):
+        _, out, _ = run_cli(capsys, "simulate", "--chain", "indep-mh-2x",
+                            "--n", "3", "--replications", "20")
+        names = [row["chain"] for row in parse_csv(out)]
+        _, out, _ = run_cli(capsys, "validate", "--chain", "indep-mh-2x",
+                            "--suite", "rate", "--replications", "20",
+                            "--rate-grid", "10,20,40,80")
+        rows = parse_csv(out)
+        assert len(rows) >= 4
+        assert names + [row["chain"] for row in rows] == \
+            ["indep-mh-2x"] * (1 + len(rows))
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MCMC_BUDGET_SEED", "9")

@@ -17,7 +17,6 @@ from mcmc_budget.bounds import FunctionClass, uniform_error_bound
 from mcmc_budget.chains import (
     FiniteChain,
     InitialDistribution,
-    derived_rng,
     finite_model,
     make_chain,
     simulate_trajectory,
@@ -129,7 +128,8 @@ class TestAbsDeviations:
         mu = model.expectation(F01)
         cum_first = float(np.cumsum(model.nu.nu)[0])
         for rep in (0, 3, 7):
-            u = derived_rng(77, rep).random(1)[0]
+            seq = np.random.SeedSequence(entropy=77, spawn_key=(rep,))
+            u = np.random.Generator(np.random.Philox(seq)).random()
             state = int(u > cum_first)
             assert devs[rep] == abs(F01[state] - mu)
 

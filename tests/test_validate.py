@@ -64,6 +64,10 @@ class TestConstantsSuite:
         with pytest.raises(DomainError, match="finite"):
             constants_suite(chains=("iid-uniform",))
 
+    def test_rejects_no_chains(self):
+        with pytest.raises(DomainError, match="at least one chain"):
+            constants_suite(chains=())
+
 
 class TestOracleSuite:
     def test_small_scale_passes(self):
@@ -81,6 +85,16 @@ class TestOracleSuite:
     def test_rejects_unknown_start(self):
         with pytest.raises(DomainError, match="start"):
             oracle_suite(max_total=3, replications=100, start="bogus")
+
+    @pytest.mark.parametrize("chains", [(), ("no-such-chain",),
+                                        ("iid-uniform",)])
+    def test_checks_start_before_any_chain(self, chains):
+        with pytest.raises(DomainError, match="start"):
+            oracle_suite(chains=chains, start="bogus")
+
+    def test_rejects_no_chains(self):
+        with pytest.raises(DomainError, match="at least one chain"):
+            oracle_suite(chains=())
 
     def test_one_exact_recursion_per_burnin(self, monkeypatch):
         calls = []

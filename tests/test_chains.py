@@ -499,7 +499,15 @@ def test_philox_block_function_is_numpy_philox(master_seed, rows):
         assert np.array_equal(got, want[:, :width])
 
 
-@pytest.mark.parametrize("width", [1, 5, 8, 16, 17, 1000])
+@pytest.mark.parametrize("width", [1, 5, 1000])
+def test_uniform_draws_rows_are_the_replication_streams(width):
+    draws = _ReplicationStreams(42, 0, 4).uniforms(width)
+    assert draws.shape == (4, width)
+    for r, row in enumerate(draws):
+        assert np.array_equal(row, _seed_sequence_rng(42, r).random(width))
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 17, 1000])
 def test_rekeyed_streams_are_the_seed_sequence_streams(width):
     # 2049 rows cross a row slice of the block function, which serves up to
     # 16 draws; wider rows come from the re-keyed generator

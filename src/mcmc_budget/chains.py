@@ -724,8 +724,23 @@ class FiniteChainModel:
         return float(self.chain.stationary @ weights) ** (1.0 / p)
 
     def batch_values(self, f_values, length: int, streams) -> np.ndarray:
+        """``f`` along each replication's walk, one row per stream.
+
+        An integer-valued ``f`` whose walk sums stay below ``2**53`` in
+        magnitude gives an int64 matrix, written over the states (which are
+        the walk itself when ``f`` is ``arange(S)``), so its partial sums
+        are exact; any other ``f`` gives the float matrix ``f[states]``.
+        """
         f = np.asarray(f_values, dtype=float)
-        return f[_batch_states(self.chain, self.nu, streams.uniforms(length))]
+        states = _batch_states(self.chain, self.nu, streams.uniforms(length))
+        if not (np.array_equal(f, np.round(f))
+                and np.abs(f).max() * length < 2.0**53):
+            return f[states]
+        if np.array_equal(f, np.arange(f.size)):
+            return states
+        # states are in range; the default mode="raise" would write through
+        # a buffered copy of `out`, a second matrix
+        return f.astype(np.int64).take(states, out=states, mode="clip")
 
 
 def finite_model(chain: FiniteChain, nu: InitialDistribution | None = None,

@@ -4,7 +4,9 @@ The estimand is e1 = E|S - mu| where S is the burn-in-discarded time
 average of f along the chain and mu the exact stationary expectation
 supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
-bit-identical however the work is chunked.
+bit-identical however the work is chunked.  An integer-valued f on a finite
+chain is reduced from exact partial sums of its int64 walk, which gives the
+window means bit for bit without a float copy of the walk.
 
 Because |S - mu| itself can have infinite variance in the heavy-tailed
 regimes under study, the spread of the estimate is reported as half the
@@ -98,6 +100,13 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     Chunks are of equal size, each within ``chunk_elements`` values, and
     each is freed before the next is drawn (an uneven tail chunk raises
     the allocator's mmap threshold and so the peak resident memory).
+
+    An integer walk (see ``FiniteChainModel.batch_values``) is summed in
+    place along each row, and a window's sum is the difference of two
+    partial sums at its boundary columns.  Every partial sum is an integer
+    below ``2**53``, exact in any order of addition, so ``sum / n`` is bit
+    for bit ``np.mean`` of the window, which is that sum divided by ``n``.
+    A float walk is reduced window by window with ``np.mean``.
     """
     if not windows:
         raise DomainError("at least one window is required")
@@ -118,11 +127,35 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
         stop = (chunk + 1) * replications // chunks
         values = model.batch_values(
             f, length, _ReplicationStreams(master_seed, start, stop))
-        for k, (n, n0) in enumerate(windows):
-            deviations[k, start:stop] = np.abs(
-                values[:, n0:n0 + n].mean(axis=1) - mu)
+        if values.dtype.kind == "f":
+            for k, (n, n0) in enumerate(windows):
+                deviations[k, start:stop] = np.abs(
+                    values[:, n0:n0 + n].mean(axis=1) - mu)
+        else:
+            _window_deviations(values, windows, mu,
+                               deviations[:, start:stop])
         del values
     return deviations
+
+
+def _window_deviations(walk: np.ndarray, windows, mu: float,
+                       out: np.ndarray) -> None:
+    """Write ``|S - mu|`` of every window of an integer ``walk`` into
+    ``out`` (window by replication), overwriting ``walk`` by its partial
+    sums."""
+    np.cumsum(walk, axis=1, out=walk)
+    # row i of `sums` is the sum of the first bounds[i] columns
+    bounds = sorted({b for n, n0 in windows for b in (n0, n0 + n)})
+    row = {b: i for i, b in enumerate(bounds)}
+    sums = np.empty((len(bounds), walk.shape[0]))
+    for i, b in enumerate(bounds):
+        sums[i] = walk[:, b - 1] if b else 0.0
+    for k, (n, n0) in enumerate(windows):
+        window = out[k]
+        np.subtract(sums[row[n0 + n]], sums[row[n0]], out=window)
+        window /= n
+        window -= mu
+        np.abs(window, out=window)
 
 
 def _estimates(deviations: np.ndarray, windows) -> list:

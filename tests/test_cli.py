@@ -318,6 +318,38 @@ class TestSimulate:
         assert [row["step"] for row in rows] == ["1", "2", "3", "4"]
         assert [row["value"] for row in rows] == [fmt(v) for v in values]
 
+    @pytest.mark.parametrize("values", ["0,3", "0,0.5"])
+    def test_integer_and_float_f_agree_across_chunking(self, capsys, values):
+        # --f 0,3 is reduced from an integer walk, --f 0,0.5 from a float
+        # one; both must print the float definition at any chunking
+        argv = ("simulate", "--chain", "two-state", "--f", values, "--n",
+                "40", "--n0", "3", "--replications", "300", "--seed", "8")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--chunk-elements", "1001") == (0, out,
+                                                                      "")
+        model = make_chain("two-state")
+        f = np.array([float(v) for v in values.split(",")])
+        states = chains._batch_states(model.chain, model.nu,
+                                      _ReplicationStreams(8, 0, 300)
+                                      .uniforms(43))
+        e1_hat = np.mean(np.abs(f[states][:, 3:].mean(axis=1)
+                                - model.expectation(f)))
+        row, = parse_csv(out)
+        assert row["e1_hat"] == fmt(e1_hat)
+
+    def test_trajectory_of_integer_f_prints_floats(self, capsys):
+        argv = ("simulate", "--chain", "two-state", "--f", "0,3", "--n",
+                "30", "--trajectory", "--seed", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert {row["value"] for row in parse_csv(out)} == {
+            "0.00000e+00", "3.00000e+00"}
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert set(map(type, values)) == {float} and 3.0 in values
+
     @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3"])
     @pytest.mark.parametrize("seed", [7, 2024])
     def test_trajectory_is_replication_zero_of_the_api(self, capsys, name,

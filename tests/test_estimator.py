@@ -9,20 +9,34 @@ every value here is reproducible bit for bit regardless of chunking.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mcmc_budget.bounds import FunctionClass, uniform_error_bound
+from mcmc_budget.bounds import (
+    FunctionClass,
+    gap_burnin,
+    gap_error_bound,
+    refined_gap_bound,
+    refined_uniform_bound,
+    uniform_burnin,
+    uniform_error_bound,
+)
 from mcmc_budget.chains import (
     FiniteChain,
     InitialDistribution,
+    _batch_states,
+    _ReplicationStreams,
     finite_model,
     make_chain,
     simulate_trajectory,
     singular_f,
 )
 from mcmc_budget.estimator import (
+    DEFAULT_CHUNK_ELEMENTS,
     ErrorEstimate,
     RateFit,
     abs_deviations,
@@ -32,6 +46,8 @@ from mcmc_budget.estimator import (
     exact_e1_small,
     rate_regression,
     sample_mean,
+    _deviations,
+    _estimates,
 )
 from mcmc_budget.exceptions import DomainError
 from mcmc_budget.validate import _point_mass_rebind
@@ -47,6 +63,37 @@ def two_state_model(nu_state=None):
     else:
         nu = InitialDistribution.point_mass(nu_state, chain)
     return finite_model(chain, nu, name="two-state")
+
+
+@st.composite
+def reversible_chains(draw, max_size):
+    """A random reversible chain from sparse symmetric integer weights.
+
+    A path of positive weights keeps it irreducible and positive holding
+    weights keep it aperiodic; other pairs are mostly unconnected.
+    """
+    size = draw(st.integers(2, max_size))
+    weights = np.diag([float(draw(st.integers(1, 4))) for _ in range(size)])
+    for i in range(size):
+        for j in range(i + 1, size):
+            weights[i, j] = weights[j, i] = draw(
+                st.integers(1, 4) if j == i + 1
+                else st.sampled_from([0, 0, 0, 1, 3]))
+    return FiniteChain.from_matrix(weights / weights.sum(axis=1,
+                                                         keepdims=True))
+
+
+def reference_deviations(model, f, windows, replications, seed):
+    """``|S - mu|`` by the definition: the mean of ``f`` over each window
+    of the float walk ``f[states]``."""
+    f = np.asarray(f, dtype=float)
+    length = max(n + n0 for n, n0 in windows)
+    states = _batch_states(model.chain, model.nu, _ReplicationStreams(
+        seed, 0, replications).uniforms(length))
+    walk = f[states]
+    mu = model.expectation(f)
+    return np.array([np.abs(walk[:, n0:n0 + n].mean(axis=1) - mu)
+                     for n, n0 in windows])
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +232,75 @@ class TestEstimateE1Windows:
         with pytest.raises(DomainError):
             estimate_e1_windows(model, F01, [(1, -1)], replications=10,
                                 master_seed=0)
+
+
+class TestIntegerWalks:
+    """An integer-valued ``f`` is reduced from exact partial sums of an
+    int64 walk; the results must be those of the float definition."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), chain=reversible_chains(6),
+           point_mass=st.booleans(),
+           chunk_elements=st.sampled_from([DEFAULT_CHUNK_ELEMENTS, 101]))
+    def test_bit_identical_to_the_float_definition(self, data, chain,
+                                                   point_mass,
+                                                   chunk_elements):
+        # walks are at most 60 long, so |f| <= 2**47 keeps every partial
+        # sum below 2**53: the widest values the integer route takes
+        size = chain.size
+        f = np.array(data.draw(st.one_of(
+            st.just(list(range(size))),
+            st.integers(-9, 9).map(lambda c: [c] * size),
+            st.lists(st.integers(-2**47, 2**47), min_size=size,
+                     max_size=size),
+            st.lists(st.integers(-3, 3), min_size=size, max_size=size))),
+            dtype=float)
+        windows = data.draw(st.lists(
+            st.tuples(st.integers(1, 40), st.integers(0, 20)),
+            min_size=1, max_size=5))
+        replications = data.draw(st.integers(2, 40))
+        seed = data.draw(st.integers(0, 2**32))
+        nu = (InitialDistribution.point_mass(
+            int(np.argmin(chain.stationary)), chain) if point_mass
+            else InitialDistribution.stationary(chain))
+        model = finite_model(chain, nu)
+        walk = model.batch_values(f, 3, _ReplicationStreams(seed, 0, 2))
+        assert walk.dtype == np.int64
+        reference = reference_deviations(model, f, windows, replications,
+                                         seed)
+        got = _deviations(model, f, windows, replications, seed,
+                          chunk_elements)
+        assert got.tobytes() == reference.tobytes()
+        assert estimate_e1_windows(model, f, windows, replications, seed,
+                                   chunk_elements) == _estimates(reference,
+                                                                 windows)
+
+    @pytest.mark.parametrize("f", [[0.0, 0.5], [0.0, 2.0**52], [0.0, 1e300]])
+    @pytest.mark.parametrize("chunk_elements", [DEFAULT_CHUNK_ELEMENTS, 101])
+    def test_other_values_take_the_float_walk(self, f, chunk_elements):
+        # 1e300 is an integer too large for int64: a cast would raise a
+        # RuntimeWarning, which the test configuration makes an error
+        model = two_state_model(nu_state=1)
+        walk = model.batch_values(np.array(f), 2,
+                                  _ReplicationStreams(4, 0, 3))
+        assert walk.dtype == np.float64
+        windows = [(1, 0), (7, 3), (30, 0)]
+        reference = reference_deviations(model, f, windows, 50, 4)
+        got = _deviations(model, np.array(f), windows, 50, 4, chunk_elements)
+        assert got.tobytes() == reference.tobytes()
+
+    def test_a_chunk_holds_one_walk_matrix(self):
+        # a float copy of the int64 walk would double the traced peak
+        model = make_chain("two-state")
+        tracemalloc.start()
+        try:
+            estimate_e1_windows(model, np.arange(2.0),
+                                [(10, 20), (10000, 20)], 400, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 400 * 10020 * 8
 
 
 class TestEstimateE1:
@@ -375,6 +491,48 @@ class TestExactE1Small:
         est = estimate_e1(model, f, n=2, n0=1, replications=30000,
                           master_seed=202)
         assert abs(est.e1_hat - exact) <= 4 * est.uncertainty
+
+
+class TestExactBoundDominance:
+    """The paper's bounds against exact errors, on random reversible
+    chains started at their least likely state, at the recipe burn-in."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), chain=reversible_chains(5),
+           # (p, delta): delta None is the uniform regime; the gap regime
+           # needs p > 1 + delta
+           case=st.sampled_from([(1.5, None), (2.0, None), (1.5, 0.25),
+                                 (2.0, 0.25), (2.0, 0.5)]))
+    def test_exact_error_within_bound(self, data, chain, case):
+        p, delta = case
+        model = _point_mass_rebind(finite_model(chain))
+        params = model.params
+        f = np.array(data.draw(st.lists(st.integers(0, 3),
+                                        min_size=chain.size,
+                                        max_size=chain.size)), dtype=float)
+        f_class = FunctionClass(p=p, norm_p=model.lp_norm(f, p))
+        unit = FunctionClass(p=p, norm_p=1.0)
+        if delta is None:
+            n0 = math.ceil(uniform_burnin(params))
+
+            def bounds(n):
+                return (uniform_error_bound(n, params, f_class).total,
+                        refined_uniform_bound(n, n0, params, p),
+                        uniform_error_bound(n, params, unit).total)
+        else:
+            n0 = math.ceil(gap_burnin(delta, params.gap, params.dratio))
+
+            def bounds(n):
+                return (gap_error_bound(n, delta, params.gap, f_class).total,
+                        refined_gap_bound(n, n0, params.gap, params.dratio,
+                                          delta, p),
+                        gap_error_bound(n, delta, params.gap, unit).total)
+        exact = exact_e1_small(model.chain, model.nu, f, 150, n0)
+        for n, e1 in enumerate(exact, start=1):
+            bound, refined, plain = bounds(n)
+            assert e1 <= bound, (n, n0, e1, bound)
+            assert refined <= plain * (1.0 + 1e-12), (n, n0, refined, plain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,151 +1,18 @@
 """Burn-in and sample-size planning for MCMC averages of heavy-tailed
 functions, plus chain testbeds with exactly known constants and a Monte
-Carlo validation harness."""
+Carlo validation harness.
 
-from .bounds import (
-    BoundBreakdown,
-    ChainParams,
-    ExponentPair,
-    FunctionClass,
-    gap_burnin,
-    gap_endpoint_bounds,
-    gap_error_bound,
-    interpolated_error_bound,
-    interpolation_exponent,
-    refined_gap_bound,
-    refined_uniform_bound,
-    riesz_thorin_exponents,
-    uniform_burnin,
-    uniform_endpoint_bounds,
-    uniform_error_bound,
-)
-from .chains import (
-    TV_RESOLUTION,
-    FiniteChain,
-    FiniteChainModel,
-    IidUniformSampler,
-    IndepMHSampler,
-    InitialDistribution,
-    PowerLawDensity,
-    SingularFunction,
-    finite_model,
-    indep_mh_sampler,
-    load_chain,
-    make_chain,
-    simulate_trajectory,
-    singular_f,
-    spectral_gap_exact,
-    uniform_ergodicity_constants,
-)
-from .estimator import (
-    ErrorEstimate,
-    RateFit,
-    abs_deviations,
-    estimate_e1,
-    estimate_e1_windows,
-    estimate_ep,
-    exact_e1_small,
-    rate_regression,
-    sample_mean,
-)
-from .exceptions import (
-    ChainValidationError,
-    DivergenceError,
-    DomainError,
-    McmcBudgetError,
-    NumericalError,
-    RegimeError,
-)
-from .planner import (
-    REFERENCE_TABLE,
-    Budget,
-    PlanRequest,
-    ReferenceRow,
-    TableRow,
-    budget_for_delta,
-    budget_table,
-    delta_hat,
-    delta_star,
-    plan_uniform,
-    required_n,
-)
-from .validate import (
-    CSV_COLUMNS,
-    CheckRow,
-    ValidationReport,
-    bound_dominance_suite,
-    constants_suite,
-    oracle_suite,
-    rate_suite,
-    resolve_model,
-)
+A name is public when its module's ``__all__`` lists it; the package
+exports exactly those lists.
+"""
 
-__version__ = "0.1.0"
+from . import bounds, chains, estimator, exceptions, planner, validate
+from .bounds import *
+from .chains import *
+from .estimator import *
+from .exceptions import *
+from .planner import *
+from .validate import *
 
-__all__ = [
-    "CSV_COLUMNS",
-    "REFERENCE_TABLE",
-    "TV_RESOLUTION",
-    "Budget",
-    "BoundBreakdown",
-    "ChainParams",
-    "ChainValidationError",
-    "CheckRow",
-    "DivergenceError",
-    "DomainError",
-    "ErrorEstimate",
-    "ExponentPair",
-    "FiniteChain",
-    "FiniteChainModel",
-    "FunctionClass",
-    "IidUniformSampler",
-    "IndepMHSampler",
-    "InitialDistribution",
-    "McmcBudgetError",
-    "NumericalError",
-    "PlanRequest",
-    "PowerLawDensity",
-    "RateFit",
-    "ReferenceRow",
-    "RegimeError",
-    "SingularFunction",
-    "TableRow",
-    "ValidationReport",
-    "abs_deviations",
-    "bound_dominance_suite",
-    "budget_for_delta",
-    "budget_table",
-    "constants_suite",
-    "delta_hat",
-    "delta_star",
-    "estimate_e1",
-    "estimate_e1_windows",
-    "estimate_ep",
-    "exact_e1_small",
-    "finite_model",
-    "gap_burnin",
-    "gap_endpoint_bounds",
-    "gap_error_bound",
-    "indep_mh_sampler",
-    "interpolated_error_bound",
-    "interpolation_exponent",
-    "load_chain",
-    "make_chain",
-    "oracle_suite",
-    "plan_uniform",
-    "rate_regression",
-    "rate_suite",
-    "refined_gap_bound",
-    "refined_uniform_bound",
-    "required_n",
-    "resolve_model",
-    "riesz_thorin_exponents",
-    "sample_mean",
-    "simulate_trajectory",
-    "singular_f",
-    "spectral_gap_exact",
-    "uniform_burnin",
-    "uniform_endpoint_bounds",
-    "uniform_ergodicity_constants",
-    "uniform_error_bound",
-]
+__all__ = [*bounds.__all__, *chains.__all__, *estimator.__all__,
+           *exceptions.__all__, *planner.__all__, *validate.__all__]

@@ -246,28 +246,19 @@ def gap_error_bound(n: float, delta: float, gap: float,
     return BoundBreakdown(leading=leading, higher_order=higher)
 
 
-def gap_burnin(delta: float, gap: float, dratio: float, *,
-               proof_form: bool = False) -> float:
+def gap_burnin(delta: float, gap: float, dratio: float) -> float:
     """Burn-in length that makes :func:`gap_error_bound` applicable.
 
-    The default expression ``ln(64 * dratio / delta) / (delta * gap)`` is
-    the stated one; ``proof_form=True`` selects the smaller variant
+    The expression ``ln(64 * dratio / delta) / (delta * gap)`` is the stated
+    one.  It never undershoots the smaller variant
     ``(1+delta)/(2*delta) * ln(32*(1+delta)/delta * dratio) / ln(1/(1-gap))``
-    that the derivation actually needs.  The default never undershoots the
-    proof form, so plans built with it remain valid.
+    that the derivation actually needs, so plans built with it remain valid.
     """
     _check_delta(delta)
     _require(0.0 < gap <= 1.0, "gap must lie in (0, 1]")
     _require(dratio >= 0.0, "dratio must be nonnegative")
     if dratio == 0.0:
         return 0.0
-    if proof_form:
-        log_arg = (math.log(32.0) + math.log1p(delta) - math.log(delta)
-                   + math.log(dratio))
-        if gap == 1.0:
-            return 0.0
-        return max(0.0, (1.0 + delta) / (2.0 * delta)
-                   * log_arg / -math.log1p(-gap))
     log_arg = math.log(64.0) + math.log(dratio) - math.log(delta)
     return max(0.0, log_arg / (delta * gap))
 

@@ -49,7 +49,6 @@ __all__ = [
     "PowerLawDensity",
     "SingularFunction",
     "finite_model",
-    "indep_mh_sampler",
     "load_chain",
     "make_chain",
     "simulate_trajectory",
@@ -694,11 +693,6 @@ class IndepMHSampler(_ContinuousSampler):
             step = (start + 1) // 2   # columns 2t-1 and 2t drive step t
             values[:, step:step + len(stepped)] = stepped.T
         return values
-
-
-def indep_mh_sampler(target: PowerLawDensity) -> IndepMHSampler:
-    """Build an independence Metropolis sampler for a bounded target."""
-    return IndepMHSampler(target)
 
 
 # ---------------------------------------------------------------------------

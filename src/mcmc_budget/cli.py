@@ -37,7 +37,7 @@ from .bounds import (
     uniform_error_bound,
 )
 from .chains import FiniteChainModel, _ReplicationStreams, singular_f
-from .estimator import DEFAULT_CHUNK_ELEMENTS, estimate_e1
+from .estimator import DEFAULT_CHUNK_ELEMENTS, _check_window, estimate_e1
 from .exceptions import McmcBudgetError
 from .planner import PlanRequest, budget_for_delta, budget_table, delta_hat, \
     delta_star, plan_uniform
@@ -282,6 +282,9 @@ def _simulation_function(args, model):
                     f"--f needs {model.chain.size} values for this chain")
             return values
         return np.arange(model.chain.size, dtype=float)
+    if args.f is not None:
+        raise _UsageError("--f takes state values of a finite chain; "
+                          "a sampler's function is set by --gamma")
     return singular_f(args.gamma)
 
 
@@ -295,6 +298,7 @@ def _load_model(source: str):
 def cmd_simulate(args) -> int:
     model = _load_model(args.chain)
     f = _simulation_function(args, model)
+    _check_window(args.n, args.n0)
     if args.trajectory:
         length = args.n + args.n0
         values = model.batch_values(
@@ -399,6 +403,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _default_seed() -> int:
     raw = os.environ.get("MCMC_BUDGET_SEED")
     if not raw:
@@ -478,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trajectory", action="store_true",
                           help="emit one raw trajectory instead")
     simulate.add_argument("--chunk-elements", dest="chunk_elements",
-                          type=int, default=DEFAULT_CHUNK_ELEMENTS)
+                          type=_positive_int, default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(simulate)
     simulate.set_defaults(handler=cmd_simulate)
 
@@ -503,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--start", choices=("point-mass", "stationary"),
                           default="point-mass")
     validate.add_argument("--chunk-elements", dest="chunk_elements",
-                          type=int, default=DEFAULT_CHUNK_ELEMENTS)
+                          type=_positive_int, default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(validate)
     validate.set_defaults(handler=cmd_validate)
 

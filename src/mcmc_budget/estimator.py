@@ -26,13 +26,10 @@ __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
     "ErrorEstimate",
     "RateFit",
-    "abs_deviations",
     "estimate_e1",
     "estimate_e1_windows",
-    "estimate_ep",
     "exact_e1_small",
     "rate_regression",
-    "sample_mean",
 ]
 
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
@@ -68,27 +65,12 @@ class RateFit:
     points: tuple
 
 
-def sample_mean(trajectory, f, n: int, n0: int) -> float:
-    """Time average of ``f`` over positions ``n0+1 .. n0+n`` (1-indexed).
-
-    ``f`` is either a callable applied elementwise or a value vector
-    indexed by integer states.
-    """
+def _check_window(n: int, n0: int) -> None:
+    """Reject a window of fewer than one step or a negative burn-in."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if n0 < 0:
         raise DomainError("n0 must be nonnegative")
-    path = np.asarray(trajectory)
-    if path.shape[0] < n + n0:
-        raise DomainError(
-            f"trajectory of length {path.shape[0]} is too short for "
-            f"n + n0 = {n + n0}")
-    window = path[n0:n0 + n]
-    if callable(f):
-        values = np.asarray(f(window), dtype=float)
-    else:
-        values = np.asarray(f, dtype=float)[window.astype(np.int64)]
-    return float(np.mean(values))
 
 
 def _deviations(model, f, windows, replications: int, master_seed: int,
@@ -111,10 +93,7 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     if not windows:
         raise DomainError("at least one window is required")
     for n, n0 in windows:
-        if n < 1:
-            raise DomainError("n must be at least 1")
-        if n0 < 0:
-            raise DomainError("n0 must be nonnegative")
+        _check_window(n, n0)
     if replications < 2:
         raise DomainError("at least 2 replications are required")
     mu = model.expectation(f)
@@ -185,19 +164,6 @@ def _estimates(deviations: np.ndarray, windows) -> list:
             for k, (n, n0) in enumerate(windows)]
 
 
-def abs_deviations(model, f, n: int, n0: int, replications: int,
-                   master_seed: int,
-                   chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> np.ndarray:
-    """Per-replication values of ``|S - mu|``, in replication order.
-
-    Replication ``r`` consumes only its own derived stream, and the mean
-    is taken once over the assembled vector, so the result does not depend
-    on ``chunk_elements`` (the batching knob).
-    """
-    return _deviations(model, f, [(n, n0)], replications, master_seed,
-                       chunk_elements)[0]
-
-
 def estimate_e1_windows(model, f, windows, replications: int,
                         master_seed: int,
                         chunk_elements: int = DEFAULT_CHUNK_ELEMENTS):
@@ -223,23 +189,6 @@ def estimate_e1(model, f, n: int, n0: int, replications: int,
                                master_seed, chunk_elements)[0]
 
 
-def estimate_ep(model, f, n: int, n0: int, p: float, replications: int,
-                master_seed: int,
-                chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> float:
-    """Generalized error ``(E|S - mu|**p)**(1/p)`` for ``p`` in [1, 2].
-
-    At ``p = 1`` this reproduces ``estimate_e1`` bit for bit on the same
-    seeds; it is nondecreasing in ``p`` on a fixed replication set.
-    """
-    if not 1.0 <= p <= 2.0:
-        raise DomainError("p must lie in [1, 2]")
-    deviations = abs_deviations(model, f, n, n0, replications, master_seed,
-                                chunk_elements)
-    if p == 1.0:
-        return float(np.mean(deviations))
-    return float(np.mean(deviations**p) ** (1.0 / p))
-
-
 def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> np.ndarray:
     """Exact ``E|S - mu|`` of every window ``1 .. n`` after burn-in ``n0``,
     by one forward recursion over (state, partial sum).
@@ -250,10 +199,7 @@ def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> np.ndarray:
     mass after ``m`` steps is window ``m + 1``, entry ``m`` of the result.  It
     costs ``O(n**2 S**2 (max f - min f))``; ``f`` needs integer differences.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if n0 < 0:
-        raise DomainError("n0 must be nonnegative")
+    _check_window(n, n0)
     f = np.asarray(f_values, dtype=float)
     lift = f - f.min()
     if not np.array_equal(lift, np.round(lift)):

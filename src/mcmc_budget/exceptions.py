@@ -5,6 +5,15 @@ The CLI maps these onto exit codes: usage problems are argparse's business
 not an exception at all (exit 1).
 """
 
+__all__ = [
+    "ChainValidationError",
+    "DivergenceError",
+    "DomainError",
+    "McmcBudgetError",
+    "NumericalError",
+    "RegimeError",
+]
+
 
 class McmcBudgetError(Exception):
     """Base class for all package errors."""

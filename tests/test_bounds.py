@@ -214,6 +214,18 @@ class TestGapErrorBound:
             gap_error_bound(0, delta=0.2, gap=1.0, f=f15)
 
 
+def proof_form_gap_burnin(delta, gap, dratio):
+    """The burn-in the gap bound's derivation needs,
+    ``(1+delta)/(2*delta) * ln(32*(1+delta)/delta * dratio) / ln(1/(1-gap))``:
+    the reference that the stated :func:`gap_burnin` must never undershoot."""
+    if dratio == 0.0 or gap == 1.0:
+        return 0.0
+    log_arg = (math.log(32.0) + math.log1p(delta) - math.log(delta)
+               + math.log(dratio))
+    return max(0.0, (1.0 + delta) / (2.0 * delta)
+               * log_arg / -math.log1p(-gap))
+
+
 class TestGapBurnin:
     def test_hand_value(self):
         got = gap_burnin(delta=1.084e-3, gap=0.01, dratio=1e30)
@@ -244,7 +256,7 @@ class TestGapBurnin:
 
     def test_proof_form_hand_value(self):
         # (1+1)/2 * ln(32*2*1)/ln(2) = ln(64)/ln(2) = 6
-        got = gap_burnin(delta=1.0, gap=0.5, dratio=1.0, proof_form=True)
+        got = proof_form_gap_burnin(delta=1.0, gap=0.5, dratio=1.0)
         assert got == pytest.approx(6.0, rel=1e-12)
 
     def test_proof_form_never_exceeds_default(self):
@@ -253,7 +265,7 @@ class TestGapBurnin:
             delta = rng.uniform(1e-4, 1.0)
             gap = rng.uniform(1e-3, 1.0)
             dratio = 10.0 ** rng.uniform(-2, 30)
-            assert gap_burnin(delta, gap, dratio, proof_form=True) <= \
+            assert proof_form_gap_burnin(delta, gap, dratio) <= \
                 gap_burnin(delta, gap, dratio) * (1.0 + 1e-12)
 
 

@@ -26,7 +26,6 @@ from mcmc_budget.chains import (
     IndepMHSampler,
     InitialDistribution,
     PowerLawDensity,
-    indep_mh_sampler,
     load_chain,
     make_chain,
     simulate_trajectory,
@@ -342,7 +341,7 @@ class TestContinuousSamplers:
         assert np.array_equal(got, want)
 
     def test_mh_uniform_target_is_iid(self):
-        s = indep_mh_sampler(PowerLawDensity(0.0))
+        s = IndepMHSampler(PowerLawDensity(0.0))
         assert s.params.alpha == 0.0
         f = singular_f(0.5)
         got = s.batch_values(f, 4, _ReplicationStreams(3, 0, 1))[0]
@@ -668,3 +667,9 @@ def test_public_names_resolve():
              for name in exported[module.__name__]
              if not hasattr(module, name)]
     assert stale == []
+    # the package exports exactly its modules' lists, each name once
+    declared = [name for module in ("bounds", "chains", "estimator",
+                                    "exceptions", "planner", "validate")
+                for name in exported[f"mcmc_budget.{module}"]]
+    assert mcmc_budget.__all__ == declared
+    assert len(set(declared)) == len(declared)

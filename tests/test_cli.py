@@ -381,6 +381,32 @@ class TestSimulate:
         assert out == ""
         assert "non-finite" in err and values in err
 
+    @pytest.mark.parametrize("chain", ["two-state", "indep-mh-2x",
+                                       "iid-uniform"])
+    @pytest.mark.parametrize("n, n0, message", [
+        ("0", "0", "n must be at least 1"),
+        ("-3", "5", "n must be at least 1"),
+        ("3", "-2", "n0 must be nonnegative"),
+    ], ids=["zero", "negative-n", "negative-n0"])
+    def test_trajectory_length_is_checked(self, capsys, chain, n, n0,
+                                          message):
+        code, out, err = run_cli(
+            capsys, "simulate", "--chain", chain, "--trajectory",
+            f"--n={n}", f"--n0={n0}")
+        assert code == 3
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [(), ("--trajectory",)])
+    @pytest.mark.parametrize("chain", ["iid-uniform", "indep-mh-2x"])
+    def test_f_on_a_sampler_is_usage_error(self, capsys, chain, extra):
+        code, out, err = run_cli(
+            capsys, "simulate", "--chain", chain, "--n", "3", "--f", "1,2",
+            *extra)
+        assert code == 2
+        assert out == ""
+        assert "--gamma" in err
+
     def test_unknown_chain_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--chain", "three-state", "--n", "2")
@@ -709,6 +735,27 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--chain", "two-state", "--n", "3"),
+        ("validate", "--chain", "two-state", "--suite", "constants"),
+    ], ids=["simulate", "validate"])
+    @pytest.mark.parametrize("from_config", [False, True],
+                             ids=["flag", "config"])
+    def test_chunk_elements_must_be_positive(self, capsys, tmp_path, command,
+                                             value, from_config):
+        if from_config:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"chunk_elements": int(value)}))
+            extra = ("--config", str(config))
+        else:
+            extra = (f"--chunk-elements={value}",)
+        code, out, err = run_cli(capsys, *command, *extra)
+        assert code == 2
+        assert out == ""
+        assert ("chunk_elements" if from_config else "--chunk-elements") \
+            in err
 
     def test_config_values_convert_like_flags(self, capsys, tmp_path):
         config = tmp_path / "config.json"

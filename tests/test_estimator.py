@@ -39,13 +39,10 @@ from mcmc_budget.estimator import (
     DEFAULT_CHUNK_ELEMENTS,
     ErrorEstimate,
     RateFit,
-    abs_deviations,
     estimate_e1,
     estimate_e1_windows,
-    estimate_ep,
     exact_e1_small,
     rate_regression,
-    sample_mean,
     _deviations,
     _estimates,
 )
@@ -97,38 +94,15 @@ def reference_deviations(model, f, windows, replications, seed):
 
 
 # ---------------------------------------------------------------------------
-# sample_mean
+# the sample mean of a simulated trajectory
 
 
 class TestSampleMean:
-    def test_identity_window(self):
-        assert sample_mean([1, 2, 3, 4], lambda x: x, n=2, n0=2) == 3.5
-
-    def test_value_vector_lookup(self):
-        trajectory = np.array([0, 1, 1, 0, 1])
-        assert sample_mean(trajectory, F01, n=3, n0=2) == pytest.approx(2 / 3)
-
-    def test_constant_function(self):
-        assert sample_mean([0, 1, 0], np.array([2.5, 2.5]), n=3, n0=0) == 2.5
-
-    def test_full_window(self):
-        assert sample_mean([1.0, 3.0], lambda x: x, n=2, n0=0) == 2.0
-
-    def test_short_trajectory_rejected(self):
-        with pytest.raises(DomainError, match="short"):
-            sample_mean([1, 2, 3], lambda x: x, n=2, n0=2)
-
-    def test_nonpositive_n_rejected(self):
-        with pytest.raises(DomainError):
-            sample_mean([1, 2, 3], lambda x: x, n=0, n0=1)
-        with pytest.raises(DomainError):
-            sample_mean([1, 2, 3], lambda x: x, n=1, n0=-1)
-
     def test_long_run_stationary_frequency(self):
         model = two_state_model()
         trajectory = simulate_trajectory(model.chain, model.nu, 20000,
                                          seed=2024)
-        mean = sample_mean(trajectory, F01, n=19900, n0=100)
+        mean = F01[trajectory[100:]].mean()
         # autocorrelation-adjusted standard error: var ~ (2/gap) Var(f)/n
         se = math.sqrt((2 / 0.3) * (2 / 9) / 19900)
         assert abs(mean - 1 / 3) < 4 * se
@@ -154,24 +128,22 @@ class TestErrorEstimate:
 class TestAbsDeviations:
     def test_two_state_support(self):
         # at n=1 the deviation is |f(X) - 1/3|, either 1/3 or 2/3 exactly
-        devs = abs_deviations(two_state_model(), F01, n=1, n0=0,
-                              replications=256, master_seed=11)
+        devs = _deviations(two_state_model(), F01, [(1, 0)], 256, 11,
+                           DEFAULT_CHUNK_ELEMENTS)[0]
         assert devs.shape == (256,)
         assert set(np.round(devs, 12)) <= {round(1 / 3, 12), round(2 / 3, 12)}
 
     def test_chunking_is_invisible(self):
         model = two_state_model()
-        big = abs_deviations(model, F01, n=3, n0=2, replications=500,
-                             master_seed=7, chunk_elements=10**6)
-        tiny = abs_deviations(model, F01, n=3, n0=2, replications=500,
-                              master_seed=7, chunk_elements=16)
+        big = _deviations(model, F01, [(3, 2)], 500, 7, 10**6)[0]
+        tiny = _deviations(model, F01, [(3, 2)], 500, 7, 16)[0]
         assert np.array_equal(big, tiny)
 
     def test_single_replication_stream(self):
         # replication r must consume exactly the stream derived for index r
         model = two_state_model()
-        devs = abs_deviations(model, F01, n=1, n0=0, replications=8,
-                              master_seed=77)
+        devs = _deviations(model, F01, [(1, 0)], 8, 77,
+                           DEFAULT_CHUNK_ELEMENTS)[0]
         mu = model.expectation(F01)
         cum_first = float(np.cumsum(model.nu.nu)[0])
         for rep in (0, 3, 7):
@@ -214,7 +186,8 @@ class TestEstimateE1Windows:
         batched = estimate_e1_windows(model, f, windows, replications, 3)
         for (n, n0), est in zip(windows, batched):
             assert est == estimate_e1(model, f, n, n0, replications, 3)
-            devs = abs_deviations(model, f, n, n0, replications, 3)
+            devs = _deviations(model, f, [(n, n0)], replications, 3,
+                               DEFAULT_CHUNK_ELEMENTS)[0]
             means = [np.mean(block) for block in
                      np.array_split(devs, min(20, replications))]
             q1, q3 = np.percentile(means, [25.0, 75.0])
@@ -308,8 +281,8 @@ class TestEstimateE1:
         model = two_state_model()
         est = estimate_e1(model, F01, n=2, n0=1, replications=400,
                           master_seed=5)
-        devs = abs_deviations(model, F01, n=2, n0=1, replications=400,
-                              master_seed=5)
+        devs = _deviations(model, F01, [(2, 1)], 400, 5,
+                           DEFAULT_CHUNK_ELEMENTS)[0]
         assert est.e1_hat == np.mean(devs)
         assert est.replications == 400 and est.n == 2 and est.n0 == 1
 
@@ -347,38 +320,6 @@ class TestEstimateE1:
             1000, sampler.params,
             FunctionClass(p=1.5, norm_p=f.lp_norm(1.5)))
         assert est.e1_hat + 4 * est.uncertainty < bound.total
-
-
-class TestEstimateEp:
-    def test_p1_bitwise_equals_e1(self):
-        model = two_state_model()
-        e1 = estimate_e1(model, F01, n=3, n0=1, replications=500,
-                         master_seed=21)
-        ep = estimate_ep(model, F01, n=3, n0=1, p=1.0, replications=500,
-                         master_seed=21)
-        assert ep == e1.e1_hat
-
-    def test_p2_is_rmse(self):
-        model = two_state_model()
-        devs = abs_deviations(model, F01, n=3, n0=1, replications=500,
-                              master_seed=21)
-        ep = estimate_ep(model, F01, n=3, n0=1, p=2.0, replications=500,
-                         master_seed=21)
-        assert ep == pytest.approx(math.sqrt(np.mean(devs**2)), rel=1e-14)
-
-    def test_monotone_in_p(self):
-        model = two_state_model()
-        values = [estimate_ep(model, F01, n=2, n0=0, p=p, replications=400,
-                              master_seed=13)
-                  for p in (1.0, 1.2, 1.5, 1.8, 2.0)]
-        assert all(a <= b * (1 + 1e-14) for a, b in zip(values, values[1:]))
-
-    def test_p_domain(self):
-        model = two_state_model()
-        for p in (0.9, 2.1):
-            with pytest.raises(DomainError):
-                estimate_ep(model, F01, n=1, n0=0, p=p, replications=4,
-                            master_seed=0)
 
 
 # ---------------------------------------------------------------------------

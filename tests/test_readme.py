@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import mcmc_budget
 from mcmc_budget.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +37,11 @@ def test_readme_example(capsys, monkeypatch, command, expected):
     monkeypatch.delenv("MCMC_BUDGET_SEED", raising=False)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_python_api_section_lists_the_public_names():
+    # names are identifiers in backticks; module paths hold a dot and
+    # `__all__` starts with an underscore, so neither is collected
+    section = README.read_text().split("## Python API\n")[1].split("\n## ")[0]
+    names = re.findall(r"`([A-Za-z][A-Za-z0-9_]*)`", section)
+    assert names == mcmc_budget.__all__

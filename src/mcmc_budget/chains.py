@@ -15,7 +15,10 @@ draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  A chunk of
 replications is one :class:`_ReplicationStreams`, whose keys are derived in
 one vectorised pass that reproduces numpy's ``SeedSequence`` hash; every
 sampler is a function of its uniform matrix.  Short rows come from a numpy
-Philox block function, longer ones from one generator re-keyed per row.
+Philox block function.  Longer ones are split into contiguous row slices,
+one per core the process may run on, and each slice is filled at the same
+time by its own worker thread's generator, re-keyed per row; a row depends
+only on its key, so the bytes do not depend on the core count.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,7 +158,7 @@ _PHILOX_ROUNDS = 10
 # rows per pass of the block function: its temporaries stay in cache
 _PHILOX_SLICE = 2048
 # the widest draw the block function serves (four Philox blocks); wider
-# rows are cheaper through one re-keyed C generator per row
+# rows are cheaper through re-keyed C generators
 _PHILOX_MAX_WIDTH = 16
 
 
@@ -207,6 +212,47 @@ def _philox_uniforms(keys: np.ndarray, width: int) -> np.ndarray:
     return draws
 
 
+def _worker_count() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _over_row_slices(work, rows: int) -> None:
+    """Run ``work(start, stop)`` on contiguous slices covering rows
+    ``0 .. rows-1``, one slice per core, all at the same time.
+
+    The calling thread runs the first slice and a new thread each of the
+    others; numpy releases the interpreter lock in the draws and the
+    integrand, so the slices run on separate cores.  ``work`` must write
+    only its own rows and read nothing another slice writes.  Once every
+    slice has finished, the exception of the first slice that raised one
+    is raised, so a caller never gets a partly filled matrix.
+    """
+    workers = max(1, min(_worker_count(), rows))
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    errors = [None] * workers
+
+    def run(slice_no: int) -> None:
+        try:
+            work(bounds[slice_no], bounds[slice_no + 1])
+        except BaseException as exc:   # raised in the calling thread below
+            errors[slice_no] = exc
+
+    threads = [threading.Thread(target=run, args=(k,))
+               for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 class _ReplicationStreams:
     """The streams of replications ``start .. stop-1``, in order; samplers
     draw only through :meth:`uniforms`.  ``keys`` holds the streams'
@@ -219,21 +265,37 @@ class _ReplicationStreams:
         return len(self.keys)
 
     def uniforms(self, width: int) -> np.ndarray:
-        """The first ``width`` uniforms of every stream, one row each:
-        from the block function up to :data:`_PHILOX_MAX_WIDTH`, else
-        written by one generator re-keyed before each row to counter 0
-        with an empty buffer, the state a fresh generator starts in."""
+        """The first ``width`` uniforms of every stream, one row each.
+
+        Up to :data:`_PHILOX_MAX_WIDTH` they come from the block function.
+        Wider rows are filled over contiguous row slices, one per core, at
+        the same time (:func:`_over_row_slices`): each slice's own generator
+        is re-keyed before each row to counter 0 with an empty buffer, the
+        state a fresh generator starts in.  A row depends only on its key,
+        so the bytes do not depend on the number of cores.  Raises
+        :class:`DomainError` when numpy cannot shape the matrix.
+        """
         if width <= _PHILOX_MAX_WIDTH:
             return _philox_uniforms(self.keys, width)
-        bitgen = np.random.Philox(0)
-        rng = np.random.Generator(bitgen)
-        draws = np.empty((len(self.keys), width))
-        for key, row in zip(self.keys.tolist(), draws):
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": (0, 0, 0, 0), "key": key},
-                            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
-            rng.random(out=row)
+        keys = self.keys.tolist()
+        try:
+            draws = np.empty((len(keys), width))
+        except ValueError:   # more elements or bytes than an array can hold
+            raise DomainError(f"{width} draws per replication are more than "
+                              "an array can hold") from None
+
+        def fill(start: int, stop: int) -> None:
+            bitgen = np.random.Philox(0)
+            rng = np.random.Generator(bitgen)
+            for key, row in zip(keys[start:stop], draws[start:stop]):
+                bitgen.state = {"bit_generator": "Philox",
+                                "state": {"counter": (0, 0, 0, 0),
+                                          "key": key},
+                                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                                "has_uint32": 0, "uinteger": 0}
+                rng.random(out=row)
+
+        _over_row_slices(fill, len(keys))
         return draws
 
 
@@ -654,8 +716,12 @@ class IidUniformSampler(_ContinuousSampler):
     def batch_values(self, f: SingularFunction, length: int,
                      streams) -> np.ndarray:
         # f of each stream's first `length` uniforms, written over them
+        # on every core's row slice at once
         draws = streams.uniforms(length)
-        return f(draws, out=draws)
+        _over_row_slices(lambda start, stop: f(draws[start:stop],
+                                               out=draws[start:stop]),
+                         len(draws))
+        return draws
 
 
 class IndepMHSampler(_ContinuousSampler):

@@ -11,7 +11,8 @@ Output is CSV (floats in 6-significant-digit scientific notation) or JSON
 via a ``--config`` JSON file (unknown keys are rejected; flags on the
 command line win) and the master seed via the ``MCMC_BUDGET_SEED``
 environment variable.  Exit codes: 0 success,
-1 failed validation check, 2 usage error, 3 domain or numeric error.
+1 failed validation check, 2 usage error, 3 domain or numeric error or a
+run that does not fit in memory.
 """
 from __future__ import annotations
 
@@ -609,6 +610,9 @@ def main(argv=None) -> int:
         return 2
     except McmcBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

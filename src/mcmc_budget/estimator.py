@@ -96,6 +96,9 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
         _check_window(n, n0)
     if replications < 2:
         raise DomainError("at least 2 replications are required")
+    if replications > 2**32:
+        # stream indices are single spawn-key words (chains._stream_keys)
+        raise DomainError("at most 2**32 replications are supported")
     mu = model.expectation(f)
     length = max(n + n0 for n, n0 in windows)
     rows_per_chunk = max(1, int(chunk_elements) // length)

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: usage problems are argparse's business
-(exit 2), every exception below exits 3, and a failing validation suite is
-not an exception at all (exit 1).
+(exit 2), every exception below exits 3, as does a ``MemoryError``, and a
+failing validation suite is not an exception at all (exit 1).
 """
 
 __all__ = [

@@ -12,12 +12,15 @@ import importlib
 import json
 import math
 import pkgutil
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import mcmc_budget
+from mcmc_budget import chains
 from mcmc_budget.chains import (
     TV_RESOLUTION,
     FiniteChain,
@@ -35,6 +38,7 @@ from mcmc_budget.chains import (
 )
 from mcmc_budget.chains import (
     _batch_states,
+    _over_row_slices,
     _philox_uniforms,
     _ReplicationStreams,
     _stream_keys,
@@ -518,6 +522,63 @@ def test_rekeyed_streams_are_the_seed_sequence_streams(width):
         for r, row in zip(range(start, stop), draws):
             assert np.array_equal(row,
                                   _seed_sequence_rng(2024, r).random(width))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows):
+    # 1 and 2 rows are fewer than 2 or 3 workers; 7 rows split unevenly
+    streams = _ReplicationStreams(2024, 3, 3 + rows)
+    outputs = {}
+    # more workers than cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+            outputs[workers] = [
+                streams.uniforms(17), streams.uniforms(1000),
+                IidUniformSampler().batch_values(singular_f(0.65), 1000,
+                                                 streams),
+                IndepMHSampler(PowerLawDensity(1.0)).batch_values(
+                    singular_f(0.5), 300, streams)]
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3):
+        for got, want in zip(outputs[workers], outputs[1]):
+            assert got.tobytes() == want.tobytes()
+    for r, row in zip(range(3, 3 + rows), outputs[3][1]):
+        assert np.array_equal(row, _seed_sequence_rng(2024, r).random(1000))
+
+
+def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(chains, "_worker_count", lambda: 3)
+    caller = threading.get_ident()
+    threads_before = threading.active_count()
+
+    def f(x, out=None):
+        if threading.get_ident() != caller:
+            raise ZeroDivisionError("slice failed")
+        return np.power(x, -0.5, out=out)
+
+    returned = []
+    with pytest.raises(ZeroDivisionError, match="slice failed"):
+        returned.append(IidUniformSampler().batch_values(
+            f, 100, _ReplicationStreams(7, 0, 7)))
+    assert returned == []
+    assert threading.active_count() == threads_before
+
+    # every slice finishes first, and the first slice that failed is raised
+    finished = []
+
+    def work(start, stop):
+        if start:
+            raise LookupError(f"rows {start}..{stop - 1}")
+        finished.append((start, stop))
+
+    with pytest.raises(LookupError, match=r"rows 2\.\.3"):
+        _over_row_slices(work, 7)
+    assert finished == [(0, 2)]
+    assert threading.active_count() == threads_before
 
 
 def _reference_states(chain, nu, length, master_seed, rows):

@@ -1,7 +1,7 @@
 """End-to-end command-line tests, run in process through main().
 
 Exit-code contract: 0 success, 1 failed validation check, 2 usage error,
-3 domain or numeric error.  CSV cells carry 6 significant digits; JSON is
+3 domain or numeric error or a run that does not fit in memory.  CSV cells carry 6 significant digits; JSON is
 full precision.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from mcmc_budget.bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from mcmc_budget import chains
+from mcmc_budget import chains, cli
 from mcmc_budget.chains import (_ReplicationStreams, load_chain, make_chain,
                                 simulate_trajectory)
 from mcmc_budget.cli import build_parser, main
@@ -406,6 +406,46 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--gamma" in err
+
+    # numpy refuses each walk's shape before allocating anything: more
+    # elements than an array may have (10**19), or more bytes (2**61 and
+    # indep-mh-2x's 2 * 2**61 - 1 draws); replications are refused first
+    @pytest.mark.parametrize("argv, message", [
+        (("--chain", "iid-uniform", "--gamma", "0.5", "--n", str(10**19)),
+         "more than an array can hold"),
+        (("--chain", "two-state", "--n", str(10**19)),
+         "more than an array can hold"),
+        (("--chain", "two-state", "--n", str(2**61)),
+         "more than an array can hold"),
+        (("--chain", "indep-mh-2x", "--n", str(2**61)),
+         "more than an array can hold"),
+        (("--chain", "two-state", "--n", str(10**19), "--trajectory"),
+         "more than an array can hold"),
+        (("--chain", "two-state", "--n", "5", "--replications",
+          str(10**19)), "at most 2**32 replications"),
+    ], ids=["iid-1e19", "two-state-1e19", "two-state-2e61", "mh-2e61",
+            "trajectory-1e19", "replications-1e19"])
+    def test_oversized_run_is_domain_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate", "--replications", "3",
+                                 *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("raised, message", [
+        (MemoryError("Unable to allocate 179. GiB for an array"),
+         "error: Unable to allocate 179. GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_is_exit_3(self, capsys, monkeypatch, raised,
+                                    message):
+        def refuse(*args, **kwargs):
+            raise raised
+        monkeypatch.setattr(cli, "estimate_e1", refuse)
+        code, out, err = run_cli(capsys, "simulate", "--chain", "two-state",
+                                 "--n", "5")
+        assert (code, out, err) == (3, "", message)
 
     def test_unknown_chain_is_domain_error(self, capsys):
         code, _, err = run_cli(

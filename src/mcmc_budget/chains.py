@@ -22,7 +22,11 @@ only on its key, so the bytes do not depend on the core count.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
-the same states.
+the same states.  That count depends on the draw only through its rank
+among the chain's distinct CDF values below 1.0, so a long walk packs
+several consecutive ranks into one code and looks up the states of those
+steps in a per-chain table of every path, built on first use: the same
+states, several steps per interpreted iteration.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +75,11 @@ _BALANCE_TOL = 1e-10
 # columns of draws per time-major block; even, so that a block holds whole
 # (proposal, acceptance) pairs of the independence sampler
 _STEP_BLOCK = 256
+# entries a chain's path table may hold (1 MB of int64 states), and the
+# walk length in columns above which a walk steps through it: shorter walks
+# (the 8-step oracle windows) step faster by the level-table loop
+_PATH_TABLE_ENTRIES = 2**17
+_PATH_MIN_COLUMNS = 64
 
 # Below this total-variation level, float64 matrix powers measure the
 # rounding of the matrix entries rather than chain convergence (a matrix
@@ -367,6 +377,12 @@ class FiniteChain:
     def size(self) -> int:
         return self.transition.shape[0]
 
+    @cached_property
+    def _paths(self) -> "_PathTable | None":
+        """The chain's path table (:func:`_path_table`), built on first
+        use and freed with the chain."""
+        return _path_table(self.transition)
+
     def expectation(self, f_values) -> float:
         """Stationary mean of the state values ``f_values``."""
         f = np.asarray(f_values, dtype=float)
@@ -443,6 +459,65 @@ def _level_table(k: np.ndarray):
     counts = np.zeros((width, size), dtype=np.int64)
     counts[rank, rows] = runs
     return _frozen_array(levels), _frozen_array(counts, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _PathTable:
+    """Every walk of ``steps`` steps of a chain, by start and draw ranks.
+
+    ``levels`` holds the chain's distinct CDF values below 1.0, in
+    increasing order.  A draw's rank is the number of levels below it, one
+    of ``radix = len(levels) + 1`` values, and ``steps`` consecutive ranks
+    ``q_0 .. q_{steps-1}`` pack into the code ``sum_i q_i * radix**i``.
+    Row ``x * radix**steps + code`` of ``paths`` holds the states after each
+    of those steps from state ``x``; the same entry of ``ends`` is the last
+    of them times ``radix**steps``, the row offset of the next steps.
+    """
+
+    levels: np.ndarray
+    steps: int
+    paths: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def radix(self) -> int:
+        return len(self.levels) + 1
+
+
+def _path_table(k: np.ndarray) -> _PathTable | None:
+    """The path table of the transition matrix ``k`` for the most steps
+    whose ``S * radix**steps * steps`` entries fit
+    :data:`_PATH_TABLE_ENTRIES`, at most :data:`_STEP_BLOCK`; None when
+    fewer than two steps fit, where a table saves no interpreter iteration.
+
+    A draw ``u`` of rank ``q`` sends state ``x`` to the number of row
+    ``x``'s CDF entries below ``u``: those at or below level ``q - 1``.
+    Entries of 1.0 or more exceed every level and every draw.
+    """
+    size = len(k)
+    cdf = np.cumsum(k, axis=1)[:, :-1]
+    levels = np.unique(cdf[cdf < 1.0])
+    radix = len(levels) + 1
+    steps = 0
+    while steps < _STEP_BLOCK and \
+            size * radix**(steps + 1) * (steps + 1) <= _PATH_TABLE_ENTRIES:
+        steps += 1
+    if steps < 2:
+        return None
+    step = np.zeros((size, radix), dtype=np.int64)
+    for rank, level in enumerate(levels, 1):
+        step[:, rank] = (cdf <= level).sum(axis=1)
+    span = radix**steps
+    codes = np.arange(span)
+    x = np.arange(size)[:, None]
+    paths = np.empty((size, span, steps), dtype=np.int64)
+    for i in range(steps):
+        x = paths[:, :, i] = step[x, codes // radix**i % radix]
+    paths = paths.reshape(size * span, steps)
+    ends = paths[:, -1] * span
+    for table in (levels, paths, ends):
+        table.setflags(write=False)
+    return _PathTable(levels, steps, paths, ends)
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,17 +639,34 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution,
 
     Row ``r`` depends only on ``draws[r]``, so results are identical however
     replications are grouped into batches.  A state is the count of CDF
-    entries below its draw.  A step counts them per distinct level of the
-    current state's row (see :func:`_level_table`): ``x = sum_k counts[k,
-    x] * (levels[k, x] < u)``, unweighted when every count is 1.  The last
-    entry is 1.0 and never below a draw in [0, 1), so it is left out.
+    entries below its draw, written over the draws.  Walks of more than
+    :data:`_PATH_MIN_COLUMNS` columns on a chain with a path table take
+    :func:`_table_steps`, and the others :func:`_level_steps`; both count
+    the same entries below the same draws, so they give the same states.
     """
-    # the states overwrite the draws they are stepped from: a column is
-    # written only after it has been read (column 0) or copied (blocks)
     states = draws.view(np.int64)
     cum_nu = np.cumsum(nu.nu)[:-1]
     x = (cum_nu[:, None] < draws[:, 0]).sum(axis=0)
     states[:, 0] = x
+    if draws.shape[1] > _PATH_MIN_COLUMNS and chain._paths is not None:
+        _table_steps(chain._paths, x, draws)
+    else:
+        _level_steps(chain, x, draws)
+    return states
+
+
+def _level_steps(chain: FiniteChain, x: np.ndarray,
+                 draws: np.ndarray) -> None:
+    """Step states ``x`` through columns ``1 ..`` of ``draws``, writing
+    each state over its draw, one interpreted step per column.
+
+    A step counts the CDF entries below the draw per distinct level of
+    the current state's row (see :func:`_level_table`): ``x = sum_k
+    counts[k, x] * (levels[k, x] < u)``, unweighted when every count is 1.
+    The last entry is 1.0 and never below a draw in [0, 1), so it is left
+    out.  A column is written only after its block was copied.
+    """
+    states = draws.view(np.int64)
     levels, counts = chain._levels, chain._counts
     for start, block in _time_major_blocks(draws, 1):
         stepped = np.empty(block.shape, dtype=np.int64)
@@ -584,7 +676,44 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution,
                 hits = counts.take(x, axis=1) * hits
             x = stepped[t] = hits.sum(axis=0)
         states[:, start:start + len(stepped)] = stepped.T
-    return states
+
+
+def _table_steps(table: _PathTable, x: np.ndarray,
+                 draws: np.ndarray) -> None:
+    """:func:`_level_steps` through the path table, ``table.steps`` steps
+    per interpreted iteration.
+
+    Each time block of whole groups of ``steps`` columns (the last one
+    padded with rank 0, whose paths are cut off) becomes ranks, from
+    comparisons summed over the levels, then codes by Horner's rule.  One
+    add and one ``take`` per group find each row's path-table row; one
+    gather then writes the block's states over its draws, after they were
+    read.  A rank fits a byte: two steps at a radix above 256 would
+    exceed the table budget.
+    """
+    states = draws.view(np.int64)
+    rows, length = draws.shape
+    steps, radix = table.steps, table.radix
+    offset = x * radix**steps
+    width = _STEP_BLOCK // steps * steps
+    for start in range(1, length, width):
+        block = draws[:, start:start + width]
+        cols = block.shape[1]
+        groups = -(-cols // steps)
+        ranks = np.zeros((rows, groups * steps), dtype=np.uint8)
+        for level in table.levels:
+            ranks[:, :cols] += block > level
+        ranks = ranks.reshape(rows, groups, steps)
+        codes = ranks[:, :, -1].astype(np.int64)
+        for i in range(steps - 2, -1, -1):
+            codes *= radix
+            codes += ranks[:, :, i]
+        index = np.ascontiguousarray(codes.T)
+        for row in index:
+            row += offset
+            offset = table.ends.take(row)
+        states[:, start:start + cols] = table.paths.take(
+            index.T, axis=0).reshape(rows, -1)[:, :cols]
 
 
 def _time_major_blocks(draws: np.ndarray, first: int):
@@ -830,6 +959,8 @@ def make_chain(name: str):
         size = int(match.group(1))
         if size < 3:
             raise DomainError("a lazy cycle needs at least 3 states")
+        if size > _MAX_STATES:   # refused before its matrix is allocated
+            raise ChainValidationError("state space has at most 1000 states")
         matrix = 0.5 * np.eye(size)
         for i in range(size):
             matrix[i, (i + 1) % size] += 0.25

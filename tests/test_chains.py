@@ -8,15 +8,20 @@ decay exactly proportional to 0.7**n with per-start constants 1/3 and 2/3
 """
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import math
 import pkgutil
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import mcmc_budget
@@ -400,6 +405,18 @@ class TestZoo:
         with pytest.raises(DomainError):
             make_chain("lazy-cycle-2")
 
+    def test_lazy_cycle_cap_before_its_matrix(self):
+        # a 1001-state matrix would take 8 MB, and its identity start 16 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChainValidationError,
+                               match="state space has at most 1000 states"):
+                make_chain("lazy-cycle-1001")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_expectation_and_norm(self):
         model = make_chain("two-state")
         f = np.array([0.0, 1.0])
@@ -693,6 +710,141 @@ def test_unit_counts_keep_the_unweighted_step():
     assert lazy._counts[:, 1].tolist() == [1, 1, 0]
     assert lazy._levels[:, 3].tolist() == [0.0, 0.25, 0.75]
     assert lazy._counts[:, 3].tolist() == [2, 1, 1]
+
+
+@st.composite
+def quantized_chains(draw):
+    """A random reversible chain of 1 to 8 states from symmetric weights
+    in {0, 1, 2, 4}: rows share CDF values, and a row whose last weights
+    are 0 has inner CDF entries of exactly 1.0.  A path of positive weights
+    keeps it irreducible."""
+    size = draw(st.integers(1, 8))
+    weights = np.zeros((size, size))
+    for i in range(size):
+        for j in range(i, size):
+            weights[i, j] = weights[j, i] = draw(
+                st.sampled_from([1, 2, 4] if j == i + 1 else [0, 0, 1, 2, 4]))
+    weights[0, 0] += size == 1
+    return FiniteChain.from_matrix(weights / weights.sum(axis=1,
+                                                         keepdims=True))
+
+
+def _routed_states(chain, nu, draws, table):
+    """``_batch_states`` on a copy of ``draws``, through the path table or
+    through the level-table loop whatever the walk's length."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "_PATH_MIN_COLUMNS", -1 if table else 2**62)
+        return _batch_states(chain, nu, draws.copy())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), chain=quantized_chains(), point_mass=st.booleans())
+def test_table_walk_is_the_level_walk(data, chain, point_mass):
+    nu = (InitialDistribution.point_mass(
+        data.draw(st.integers(0, chain.size - 1)), chain) if point_mass
+        else InitialDistribution.stationary(chain))
+    table = chain._paths
+    assert table.steps >= 2 and chain._paths is table
+    width = chains._STEP_BLOCK // table.steps * table.steps
+    steps = data.draw(st.sampled_from([
+        0, 1, table.steps - 1, table.steps, table.steps + 1, width - 1,
+        width, width + 1, 2 * width + table.steps + 1]))
+    rows = data.draw(st.integers(1, 5))
+    seed = data.draw(st.integers(0, 2**32))
+    draws = _ReplicationStreams(seed, 0, rows).uniforms(steps + 1)
+    want = _reference_states(chain, nu, steps + 1, seed, rows)
+    assert np.array_equal(_routed_states(chain, nu, draws, table=True), want)
+    assert np.array_equal(_routed_states(chain, nu, draws, table=False), want)
+    # draws on the levels and at 0.0, past the crossover
+    length = chains._PATH_MIN_COLUMNS + data.draw(st.integers(1, 70))
+    draws, want = _on_level_walks(chain, nu, length, 3, seed)
+    assert np.array_equal(_batch_states(chain, nu, draws.copy()), want)
+    assert np.array_equal(_routed_states(chain, nu, draws, table=False), want)
+
+
+@pytest.mark.parametrize("chain, radix, steps", [
+    (make_chain("two-state").chain, 3, 8),
+    (make_chain("lazy-cycle-3").chain, 4, 6),
+    # CDF entries of exactly 1.0 are no level
+    (make_chain("lazy-cycle-50").chain, 5, 4),
+    # radix 1: every number of steps fits the budget, and blocks bound it
+    (FiniteChain([[1.0]], [1.0]), 1, chains._STEP_BLOCK),
+], ids=["two-state", "lazy-cycle-3", "lazy-cycle-50", "one-state"])
+def test_table_steps_fill_the_budget(chain, radix, steps):
+    table = chain._paths
+    assert (table.radix, table.steps) == (radix, steps)
+    assert table.paths.shape == (chain.size * radix**steps, steps)
+    assert chain.size * radix**steps * steps <= chains._PATH_TABLE_ENTRIES
+    assert chain.size * radix**(steps + 1) * (steps + 1) > \
+        chains._PATH_TABLE_ENTRIES or steps == chains._STEP_BLOCK
+
+
+def _spied_paths(monkeypatch):
+    """Record which stepping path each walk takes."""
+    taken = []
+    for name in ("_table_steps", "_level_steps"):
+        def spy(*args, _step=getattr(chains, name), _name=name):
+            taken.append(_name)
+            return _step(*args)
+        monkeypatch.setattr(chains, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("chain, rows, length, path", [
+    (make_chain("two-state").chain, 500, 10020, "_table_steps"),
+    (make_chain("lazy-cycle-50").chain, 300, 11149, "_table_steps"),
+    (make_chain("two-state").chain, 20000, 8, "_level_steps"),
+    (make_chain("lazy-cycle-3").chain, 20000, 8, "_level_steps"),
+    (make_chain("two-state").chain, 3, chains._PATH_MIN_COLUMNS,
+     "_level_steps"),
+    (make_chain("two-state").chain, 3, chains._PATH_MIN_COLUMNS + 1,
+     "_table_steps"),
+    # 1102 levels: one step fits the budget, two do not
+    (_random_dense(40, 2), 4, 300, "_level_steps"),
+    # 159 600 levels: not even one step fits
+    (_random_dense(400, 5), 2, 300, "_level_steps"),
+], ids=["two-state", "lazy-cycle-50", "oracle-two-state",
+        "oracle-lazy-cycle-3", "at-crossover", "past-crossover",
+        "dense-40", "dense-400"])
+def test_stepping_path_is_chosen_by_length_and_table(monkeypatch, chain,
+                                                     rows, length, path):
+    taken = _spied_paths(monkeypatch)
+    nu = InitialDistribution.stationary(chain)
+    draws = np.random.default_rng(length).random((rows, length))
+    got = _batch_states(chain, nu, draws.copy())
+    assert taken == [path]
+    if path == "_level_steps" and length > chains._PATH_MIN_COLUMNS:
+        assert chain._paths is None
+    if rows * length < 10**5:
+        assert np.array_equal(got, _routed_states(chain, nu, draws,
+                                                  table=False))
+
+
+def test_path_tables_are_built_once_on_first_use_and_freed(monkeypatch):
+    builds = []
+
+    def counted(k, _build=chains._path_table):
+        builds.append(len(k))
+        return _build(k)
+
+    monkeypatch.setattr(chains, "_path_table", counted)
+    model = make_chain("lazy-cycle-50")
+    streams = _ReplicationStreams(5, 0, 4)
+    model.batch_values(np.arange(50.0), 8, streams)
+    assert builds == []
+    first = model.batch_values(np.arange(50.0), 500, streams)
+    again = model.batch_values(np.arange(50.0), 500, streams)
+    assert builds == [50] and np.array_equal(first, again)
+    # a table lives on its chain, not in a cache that outlives it
+    other = make_chain("lazy-cycle-50")
+    other.batch_values(np.arange(50.0), 500, streams)
+    assert builds == [50, 50]
+    paths = weakref.ref(model.chain._paths.paths)
+    chain = weakref.ref(model.chain)
+    del model
+    gc.collect()
+    assert chain() is None and paths() is None
 
 
 def test_indep_mh_values_do_not_depend_on_chunking():

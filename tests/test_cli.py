@@ -447,6 +447,13 @@ class TestSimulate:
                                  "--n", "5")
         assert (code, out, err) == (3, "", message)
 
+    @pytest.mark.parametrize("size", ["1001", "1000000000"])
+    def test_oversized_lazy_cycle_is_refused(self, capsys, size):
+        code, out, err = run_cli(capsys, "simulate", "--chain",
+                                 f"lazy-cycle-{size}", "--n", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: state space has at most 1000 states\n"
+
     def test_unknown_chain_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--chain", "three-state", "--n", "2")

@@ -264,16 +264,19 @@ class TestIntegerWalks:
         assert got.tobytes() == reference.tobytes()
 
     def test_a_chunk_holds_one_walk_matrix(self):
-        # a float copy of the int64 walk would double the traced peak
-        model = make_chain("two-state")
-        tracemalloc.start()
-        try:
-            estimate_e1_windows(model, np.arange(2.0),
-                                [(10, 20), (10000, 20)], 400, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 400 * 10020 * 8
+        # a float copy of the int64 walk would double the traced peak; the
+        # chain's path table is built inside the traced region
+        for name, rows, n0 in (("two-state", 400, 20),
+                               ("lazy-cycle-50", 300, 1149)):
+            model = make_chain(name)
+            tracemalloc.start()
+            try:
+                estimate_e1_windows(model, np.arange(float(model.chain.size)),
+                                    [(10, n0), (10000, n0)], rows, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * rows * (10000 + n0) * 8, name
 
 
 class TestEstimateE1:

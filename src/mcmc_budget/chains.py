@@ -434,30 +434,18 @@ def _level_table(k: np.ndarray):
     values below 1.0 among the first ``S - 1`` entries of row ``x``'s CDF,
     padded with 1.0, which is never below a draw in [0, 1).  Column ``x``
     of ``counts`` holds how many of those entries equal each level; it is
-    None when every level holds one entry.  A CDF row is nondecreasing
-    (adding a nonnegative float never lowers a sum), so equal entries form
-    runs, and a level is where a run starts.
+    None when every level holds one entry.
     """
-    size = len(k)
     cdf = np.cumsum(k, axis=1)[:, :-1]
-    below = cdf < 1.0
-    starts = below.copy()
-    starts[:, 1:] &= cdf[:, 1:] != cdf[:, :-1]
-    rows, cols = np.nonzero(starts)
-    per_row = starts.sum(axis=1)
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row,
-                                            per_row)
-    width = int(per_row.max(initial=0))
-    levels = np.ones((width, size))
-    levels[rank, rows] = cdf[rows, cols]
-    # a run's entries below 1.0 are those up to the next run's start: what
-    # lies between is 1.0 or more, or in rows with no level at all
-    runs = np.add.reduceat(below.ravel(), rows * (size - 1) + cols,
-                           dtype=np.int64)
-    if (runs == 1).all():
+    table = [np.unique(row[row < 1.0], return_counts=True) for row in cdf]
+    width = max((len(row_levels) for row_levels, _ in table), default=0)
+    levels = np.ones((width, len(k)))
+    counts = np.zeros((width, len(k)), dtype=np.int64)
+    for x, (row_levels, row_counts) in enumerate(table):
+        levels[:len(row_levels), x] = row_levels
+        counts[:len(row_counts), x] = row_counts
+    if (counts <= 1).all():
         return _frozen_array(levels), None
-    counts = np.zeros((width, size), dtype=np.int64)
-    counts[rank, rows] = runs
     return _frozen_array(levels), _frozen_array(counts, dtype=np.int64)
 
 

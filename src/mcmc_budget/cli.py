@@ -312,9 +312,10 @@ def cmd_simulate(args) -> int:
                    "values": [float(v) for v in values]}
         _emit(args, _TRAJECTORY_COLUMNS, rows, payload)
         return 0
+    # the bound's inputs are checked before any simulation
+    f_class = FunctionClass(p=args.p, norm_p=model.lp_norm(f, args.p))
     estimate = estimate_e1(model, f, args.n, args.n0, args.replications,
                            args.seed, args.chunk_elements)
-    f_class = FunctionClass(p=args.p, norm_p=model.lp_norm(f, args.p))
     # the uniform bound applies only after the regime's burn-in
     bound = (uniform_error_bound(args.n, model.params, f_class).total
              if args.n0 >= uniform_burnin(model.params) else None)
@@ -339,51 +340,48 @@ def _suites_for(args, model) -> list:
         n_grid = _parse_grid(args.n_grid, "--n-grid")
     if "rate" in names:
         rate_grid = _parse_grid(args.rate_grid, "--rate-grid")
+    # without --p each suite keeps its own default
+    p = {} if args.p is None else {"p": args.p}
     reports = []
     for name in names:
         if name == "constants":
-            reports.append(constants_suite(chains=(model,),
-                                           master_seed=args.seed))
+            reports.append(constants_suite(model, master_seed=args.seed))
         elif name == "oracle":
             reports.append(oracle_suite(
-                chains=(model,), max_total=args.max_total,
+                model, max_total=args.max_total,
                 replications=args.replications, master_seed=args.seed,
                 start=args.start, chunk_elements=args.chunk_elements))
         elif name == "bound-dominance":
-            p = args.p if args.p is not None else 2.0
             for regime in ([args.regime] if args.regime
                            else ["uniform", "gap"]):
                 reports.append(bound_dominance_suite(
-                    chain=model, regime=regime,
-                    n_grid=n_grid,
+                    model, regime=regime, n_grid=n_grid,
                     replications=args.replications, master_seed=args.seed,
-                    p=p, delta=args.delta, start=args.start,
-                    chunk_elements=args.chunk_elements))
+                    delta=args.delta, start=args.start,
+                    chunk_elements=args.chunk_elements, **p))
         else:
-            p = args.p if args.p is not None else 1.5
             reports.append(rate_suite(
-                chain=model, gamma=args.gamma, p=p,
-                n_grid=rate_grid,
+                model, gamma=args.gamma, n_grid=rate_grid,
                 replications=args.replications, master_seed=args.seed,
-                chunk_elements=args.chunk_elements))
+                chunk_elements=args.chunk_elements, **p))
     return reports
 
 
 def cmd_validate(args) -> int:
     model = _load_model(args.chain)
     reports = _suites_for(args, model)
-    rows = [row.as_dict() for report in reports for row in report.rows]
     passed = all(report.passed for report in reports)
+    suites = [{"suite": report.suite, "passed": report.passed,
+               "details": report.details,
+               "rows": [row.as_dict() for row in report.rows]}
+              for report in reports]
     payload = {"command": "validate", "chain": model.name, "passed": passed,
-               "suites": [{"suite": report.suite, "passed": report.passed,
-                           "details": report.details,
-                           "rows": [row.as_dict() for row in report.rows]}
-                          for report in reports]}
+               "suites": suites}
+    rows = [row for suite in suites for row in suite["rows"]]
     _emit(args, CSV_COLUMNS, rows, payload)
     if not passed:
-        failing = [row["check"] for report in reports
-                   for row in (r.as_dict() for r in report.rows)
-                   if not row["passed"]]
+        failing = [row.check for report in reports for row in report.rows
+                   if not row.passed]
         print("failed checks: " + ", ".join(failing), file=sys.stderr)
         return 1
     return 0

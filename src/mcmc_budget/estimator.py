@@ -236,6 +236,9 @@ def rate_regression(points) -> RateFit:
     cleaned = tuple((float(n), float(e1)) for n, e1 in points)
     if len(cleaned) < 4:
         raise DomainError("rate regression needs at least 4 points")
+    if len({n for n, _ in cleaned}) < 4:
+        raise DomainError("rate regression needs at least 4 distinct "
+                          "sample sizes")
     if any(n <= 0 for n, _ in cleaned):
         raise DomainError("sample sizes must be positive")
     if any(e1 <= 0 for _, e1 in cleaned):

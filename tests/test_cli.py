@@ -447,6 +447,21 @@ class TestSimulate:
                                  "--n", "5")
         assert (code, out, err) == (3, "", message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--chain", "iid-uniform", "--gamma", "0.9", "--p", "1.5"),
+         "error: the L_1.5 norm diverges: gamma * p = 1.35 >= 1\n"),
+        (("--chain", "two-state", "--p", "2.5"),
+         "error: p must lie in (1, 2]\n"),
+    ], ids=["divergent-norm", "p-out-of-range"])
+    def test_bound_inputs_are_checked_before_simulating(
+            self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before checking --p")
+        monkeypatch.setattr(cli, "estimate_e1", refuse)
+        code, out, err = run_cli(capsys, "simulate", "--n", "200000",
+                                 "--replications", "200", *argv)
+        assert (code, out, err) == (3, "", message)
+
     @pytest.mark.parametrize("size", ["1001", "1000000000"])
     def test_oversized_lazy_cycle_is_refused(self, capsys, size):
         code, out, err = run_cli(capsys, "simulate", "--chain",
@@ -592,7 +607,7 @@ class TestValidateCommand:
             assert code == 0
             rows[start], = (suite["rows"]
                             for suite in json.loads(out)["suites"])
-        report = oracle_suite(("two-state",), max_total=3,
+        report = oracle_suite("two-state", max_total=3,
                               replications=4000, master_seed=5,
                               start="stationary")
         assert rows["stationary"] == [row.as_dict() for row in report.rows]
@@ -645,6 +660,14 @@ class TestValidateCommand:
         assert "failed checks" in err
         rows = parse_csv(out)
         assert any(row["passed"] == "fail" for row in rows)
+
+    def test_repeated_rate_grid_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "validate", "--chain", "iid-uniform", "--suite", "rate",
+            "--rate-grid", "100,100,100,100", "--replications", "20")
+        assert (code, out) == (3, "")
+        assert err == ("error: rate regression needs at least 4 distinct "
+                       "sample sizes\n")
 
     @pytest.mark.parametrize("chain, flag, grid", [
         ("two-state", "--n-grid", ""), ("two-state", "--n-grid", ","),

@@ -502,6 +502,11 @@ class TestRateRegression:
         with pytest.raises(DomainError):
             rate_regression([(10, 1.0), (100, 0.5), (1000, 0.25)])
 
+    def test_needs_four_distinct_sample_sizes(self):
+        with pytest.raises(DomainError, match="4 distinct sample sizes"):
+            rate_regression([(100, 1.0), (100, 0.9), (100, 1.1),
+                             (100, 0.95)])
+
     def test_rejects_nonpositive_error(self):
         with pytest.raises(DomainError):
             rate_regression([(10, 1.0), (100, 0.5), (1000, 0.0),

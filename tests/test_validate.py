@@ -52,49 +52,44 @@ class TestResolveModel:
 
 class TestConstantsSuite:
     def test_zoo_passes(self):
-        report = constants_suite()
-        assert report.passed
-        checks = {row.check for row in report.rows}
-        assert checks == {"gap-vs-alpha", "tv-certification",
-                          "detailed-balance-powers"}
-        assert all(set(row.as_dict()) == set(CSV_COLUMNS)
-                   for row in report.rows)
+        for chain in ("two-state", "lazy-cycle-3", "lazy-cycle-4",
+                      "lazy-cycle-5"):
+            report = constants_suite(chain)
+            assert report.passed
+            assert report.details["chains"] == [chain]
+            checks = {row.check for row in report.rows}
+            assert checks == {"gap-vs-alpha", "tv-certification",
+                              "detailed-balance-powers"}
+            assert all(tuple(row.as_dict()) == CSV_COLUMNS
+                       for row in report.rows)
 
     def test_rejects_continuous(self):
         with pytest.raises(DomainError, match="finite"):
-            constants_suite(chains=("iid-uniform",))
-
-    def test_rejects_no_chains(self):
-        with pytest.raises(DomainError, match="at least one chain"):
-            constants_suite(chains=())
+            constants_suite(chain="iid-uniform")
 
 
 class TestOracleSuite:
     def test_small_scale_passes(self):
-        report = oracle_suite(max_total=4, replications=20_000,
-                              master_seed=31)
-        assert isinstance(report, ValidationReport)
-        assert report.passed
-        # instances per chain: (n, n0) with n >= 1, n + n0 <= 4
-        assert report.details["instances"] == 2 * 10
-        for row in report.rows:
-            assert row.bound_total is not None  # carries the exact value
-            assert (abs(row.e1_hat - row.bound_total)
-                    <= 4 * row.uncertainty + 1e-12)
+        for chain in ("two-state", "lazy-cycle-3"):
+            report = oracle_suite(chain, max_total=4, replications=20_000,
+                                  master_seed=31)
+            assert isinstance(report, ValidationReport)
+            assert report.passed
+            # instances: (n, n0) with n >= 1, n + n0 <= 4
+            assert report.details["instances"] == 10
+            for row in report.rows:
+                assert row.bound_total is not None  # carries the exact value
+                assert (abs(row.e1_hat - row.bound_total)
+                        <= 4 * row.uncertainty + 1e-12)
 
     def test_rejects_unknown_start(self):
         with pytest.raises(DomainError, match="start"):
             oracle_suite(max_total=3, replications=100, start="bogus")
 
-    @pytest.mark.parametrize("chains", [(), ("no-such-chain",),
-                                        ("iid-uniform",)])
-    def test_checks_start_before_any_chain(self, chains):
+    @pytest.mark.parametrize("chain", ["no-such-chain", "iid-uniform"])
+    def test_checks_start_before_any_chain(self, chain):
         with pytest.raises(DomainError, match="start"):
-            oracle_suite(chains=chains, start="bogus")
-
-    def test_rejects_no_chains(self):
-        with pytest.raises(DomainError, match="at least one chain"):
-            oracle_suite(chains=())
+            oracle_suite(chain=chain, start="bogus")
 
     def test_one_exact_recursion_per_burnin(self, monkeypatch):
         calls = []
@@ -104,7 +99,7 @@ class TestOracleSuite:
             return exact_e1_small(chain, nu, f_values, n, n0)
 
         monkeypatch.setattr(validate, "exact_e1_small", counting_exact)
-        report = oracle_suite(("lazy-cycle-3",), max_total=4,
+        report = oracle_suite("lazy-cycle-3", max_total=4,
                               replications=500)
         assert calls == [(4, 0), (3, 1), (2, 2), (1, 3)]
         assert [(row.n, row.n0) for row in report.rows] == [
@@ -141,6 +136,10 @@ class TestBoundDominanceSuite:
         report = bound_dominance_suite(start="stationary", n_grid=(10,),
                                        replications=500, master_seed=4)
         assert report.details["n0"] == 0
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(DomainError, match="at least one window"):
+            bound_dominance_suite(n_grid=(), replications=100)
 
     def test_rejects_unknown_regime(self):
         with pytest.raises(DomainError, match="regime"):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .exceptions import DomainError, RegimeError
+from .exceptions import DomainError, NumericalError, RegimeError
 
 __all__ = [
     "BoundBreakdown",
@@ -163,6 +163,15 @@ def _power_product(m1: float, e1: float, m2: float, e2: float) -> float:
     return math.pow(m1, e1) * math.pow(m2, e2)
 
 
+def _positive_product(a: float, b: float, name: str) -> float:
+    """``a * b`` of two positive numbers, which the bounds raise to negative
+    powers or divide by: a product that underflows to 0 is an error."""
+    product = a * b
+    if product == 0.0:
+        raise NumericalError(f"{name} underflows to 0")
+    return product
+
+
 def _check_n(n: float) -> None:
     _require(n > 0.0, "sample size n must be positive")
 
@@ -190,9 +199,11 @@ def uniform_error_bound(n: float, chain: ChainParams,
     """
     alpha, _ = chain._uniform_constants()
     _check_n(n)
+    x = _positive_product(n, chain.gap, "n * gap")
+    y = _positive_product(n, 1.0 - alpha, "n * (1 - alpha)")
     scale = 4.0 * f.norm_p
-    leading = scale * (n * chain.gap) ** (1.0 / f.p - 1.0)
-    higher = scale * (n * (1.0 - alpha)) ** (2.0 / f.p - 2.0)
+    leading = scale * x ** (1.0 / f.p - 1.0)
+    higher = scale * y ** (2.0 / f.p - 2.0)
     return BoundBreakdown(leading=leading, higher_order=higher)
 
 
@@ -215,11 +226,12 @@ def uniform_endpoint_bounds(n: float, n0: float,
     alpha, big_m = chain._uniform_constants()
     _check_n(n)
     _check_n0(n0)
+    x = _positive_product(n, chain.gap, "n * gap")
+    y = _positive_product(n, 1.0 - alpha, "n * (1 - alpha)")
     m1 = 2.0 + _pow_scaled(alpha, n0, 4.0, big_m, chain.dratio)
-    m2 = math.sqrt(2.0 / (n * chain.gap)) + _pow_scaled(
+    m2 = math.sqrt(2.0 / x) + _pow_scaled(
         alpha, n0 / 2.0,
-        2.0, math.sqrt(big_m), math.sqrt(chain.dratio),
-        1.0 / (n * (1.0 - alpha)))
+        2.0, math.sqrt(big_m), math.sqrt(chain.dratio), 1.0 / y)
     return m1, m2
 
 
@@ -239,7 +251,7 @@ def gap_error_bound(n: float, delta: float, gap: float,
     _require(0.0 < gap <= 1.0, "gap must lie in (0, 1]")
     _require(f.p > 1.0 + delta, "the gap bound needs p > 1 + delta")
     _check_n(n)
-    x = n * gap
+    x = _positive_product(n, gap, "n * gap")
     scale = 8.0 * f.norm_p
     leading = scale * x ** ((1.0 + delta) / f.p - 1.0)
     higher = scale * x ** (2.0 * (1.0 + delta) / f.p - 2.0)
@@ -260,7 +272,7 @@ def gap_burnin(delta: float, gap: float, dratio: float) -> float:
     if dratio == 0.0:
         return 0.0
     log_arg = math.log(64.0) + math.log(dratio) - math.log(delta)
-    return max(0.0, log_arg / (delta * gap))
+    return max(0.0, log_arg / _positive_product(delta, gap, "delta * gap"))
 
 
 def gap_endpoint_bounds(n: float, n0: float, gap: float, dratio: float,
@@ -278,11 +290,12 @@ def gap_endpoint_bounds(n: float, n0: float, gap: float, dratio: float,
     _check_n(n)
     _check_n0(n0)
     base = 1.0 - gap
+    x = _positive_product(n, gap, "n * gap")
     m1 = 2.0 + _pow_scaled(base, 2.0 * n0 * (p1 - 1.0) / p1, 4.0, dratio)
-    m2 = math.sqrt(2.0 / (n * gap)) + _pow_scaled(
+    m2 = math.sqrt(2.0 / x) + _pow_scaled(
         base, n0 * (p2 - 2.0) / p2,
         8.0 * math.sqrt(p2) / math.sqrt(p2 - 2.0), math.sqrt(dratio),
-        1.0 / (n * gap))
+        1.0 / x)
     return m1, m2
 
 

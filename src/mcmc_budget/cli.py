@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,12 @@ from .bounds import (
 from .chains import FiniteChainModel, _ReplicationStreams, singular_f
 from .estimator import DEFAULT_CHUNK_ELEMENTS, _check_window, estimate_e1
 from .exceptions import McmcBudgetError
-from .planner import PlanRequest, budget_for_delta, budget_table, delta_hat, \
-    delta_star, plan_uniform
+from .planner import PlanRequest, TableRow, budget_for_delta, budget_table, \
+    delta_hat, delta_star, plan_uniform
 from .validate import (
     CSV_COLUMNS,
+    _DEFAULT_SEED,
+    _default_values,
     bound_dominance_suite,
     constants_suite,
     oracle_suite,
@@ -53,16 +56,12 @@ from .validate import (
 
 __all__ = ["main", "build_parser"]
 
-_DEFAULT_SEED = 2024
 _BOUND_COLUMNS = ("regime", "n", "n0", "p", "norm", "gap", "alpha", "big_m",
                   "dratio", "delta", "leading", "higher_order", "total")
 _PLAN_COLUMNS = ("method", "p", "epsilon", "gap", "dratio", "norm", "delta",
                  "n0", "n", "total")
-_TABLE_COLUMNS = ("p", "epsilon", "gap", "dratio",
-                  "delta_star", "delta_star_ref", "delta_star_dev",
-                  "total_star", "total_star_ref", "total_star_dev",
-                  "delta_hat", "delta_hat_ref", "delta_hat_dev",
-                  "total_hat", "total_hat_ref", "total_hat_dev", "suspect")
+# TableRow's fields, with its suspect cells joined into one column
+_TABLE_COLUMNS = (*(field.name for field in fields(TableRow)[:-1]), "suspect")
 _SIMULATE_COLUMNS = ("chain", "n", "n0", "replications", "e1_hat",
                      "uncertainty", "bound_total", "seed")
 _TRAJECTORY_COLUMNS = ("chain", "step", "value", "seed")
@@ -84,24 +83,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    return str(value)
+def _numpy_scalar(value):
+    """``json.dumps`` hook: a numpy integer or float as its Python number."""
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
 
 
 def _emit(args, columns, rows, json_payload) -> None:
     """Write rows as CSV (formatted) or the payload as JSON."""
     if args.format == "json":
-        text = json.dumps(_jsonable(json_payload), indent=2) + "\n"
+        text = json.dumps(json_payload, indent=2, default=_numpy_scalar) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -120,7 +113,9 @@ def _emit(args, columns, rows, json_payload) -> None:
         sys.stdout.write(text)
 
 
-def _parse_grid(text: str, flag: str) -> tuple:
+def _parse_grid(text: str | None, flag: str) -> tuple | None:
+    if text is None:
+        return None
     try:
         grid = tuple(int(token) for token in text.split(",") if token)
     except ValueError:
@@ -159,19 +154,15 @@ def cmd_bound(args) -> int:
     row.update(regime=args.regime, n=args.n, p=args.p, norm=args.norm,
                gap=args.gap, alpha=args.alpha, big_m=args.big_m,
                dratio=args.dratio, delta=args.delta, n0=args.n0)
-    if args.regime == "uniform":
-        breakdown = uniform_error_bound(
-            args.n, _chain_params_from_flags(args), f)
-        row.update(leading=breakdown.leading,
-                   higher_order=breakdown.higher_order,
-                   total=breakdown.total)
-    elif args.regime == "gap":
-        if args.delta is None:
+    if args.regime in ("uniform", "gap"):
+        if args.regime == "uniform":
+            breakdown = uniform_error_bound(
+                args.n, _chain_params_from_flags(args), f)
+        elif args.delta is None:
             raise _UsageError("the gap regime requires --delta")
-        breakdown = gap_error_bound(args.n, args.delta, args.gap, f)
-        row.update(leading=breakdown.leading,
-                   higher_order=breakdown.higher_order,
-                   total=breakdown.total)
+        else:
+            breakdown = gap_error_bound(args.n, args.delta, args.gap, f)
+        row.update(vars(breakdown))
     elif args.regime == "refined-uniform":
         if args.n0 is None:
             raise _UsageError("the refined-uniform regime requires --n0")
@@ -185,11 +176,9 @@ def cmd_bound(args) -> int:
                               "and --delta")
         row.update(total=args.norm * refined_gap_bound(
             args.n, args.n0, args.gap, args.dratio, args.delta, args.p))
-    payload = {"command": "bound", "inputs": {k: row[k] for k in
-               ("regime", "n", "n0", "p", "norm", "gap", "alpha", "big_m",
-                "dratio", "delta")},
-               "result": {k: row[k] for k in
-                          ("leading", "higher_order", "total")}}
+    payload = {"command": "bound",
+               "inputs": {k: row[k] for k in _BOUND_COLUMNS[:10]},
+               "result": {k: row[k] for k in _BOUND_COLUMNS[10:]}}
     _emit(args, _BOUND_COLUMNS, [row], payload)
     return 0
 
@@ -250,25 +239,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    rows = []
-    for entry in budget_table():
-        rows.append({
-            "p": entry.p, "epsilon": entry.epsilon, "gap": entry.gap,
-            "dratio": entry.dratio,
-            "delta_star": entry.delta_star,
-            "delta_star_ref": entry.ref_delta_star,
-            "delta_star_dev": entry.dev_delta_star,
-            "total_star": entry.total_star,
-            "total_star_ref": entry.ref_total_star,
-            "total_star_dev": entry.dev_total_star,
-            "delta_hat": entry.delta_hat,
-            "delta_hat_ref": entry.ref_delta_hat,
-            "delta_hat_dev": entry.dev_delta_hat,
-            "total_hat": entry.total_hat,
-            "total_hat_ref": entry.ref_total_hat,
-            "total_hat_dev": entry.dev_total_hat,
-            "suspect": ",".join(entry.suspect_cells),
-        })
+    rows = [{**{column: getattr(entry, column)
+                for column in _TABLE_COLUMNS[:-1]},
+             "suspect": ",".join(entry.suspect_cells)}
+            for entry in budget_table()]
     payload = {"command": "tables", "rows": rows}
     _emit(args, _TABLE_COLUMNS, rows, payload)
     return 0
@@ -282,7 +256,7 @@ def _simulation_function(args, model):
                 raise _UsageError(
                     f"--f needs {model.chain.size} values for this chain")
             return values
-        return np.arange(model.chain.size, dtype=float)
+        return _default_values(model)
     if args.f is not None:
         raise _UsageError("--f takes state values of a finite chain; "
                           "a sampler's function is set by --gamma")
@@ -328,6 +302,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options a user set; the suite keeps its own default for the
+    rest."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _suites_for(args, model) -> list:
     finite = isinstance(model, FiniteChainModel)
     if args.suite == "all":
@@ -335,35 +315,30 @@ def _suites_for(args, model) -> list:
                  else ["rate"])
     else:
         names = [args.suite]
-    # parse the grids before any suite runs
-    if "bound-dominance" in names:
-        n_grid = _parse_grid(args.n_grid, "--n-grid")
-    if "rate" in names:
-        rate_grid = _parse_grid(args.rate_grid, "--rate-grid")
-    # without --p each suite keeps its own default
-    p = {} if args.p is None else {"p": args.p}
+    # parse the grids of the suites that run before any of them runs
+    n_grid = (_parse_grid(args.n_grid, "--n-grid")
+              if "bound-dominance" in names else None)
+    rate_grid = (_parse_grid(args.rate_grid, "--rate-grid")
+                 if "rate" in names else None)
+    run = {"replications": args.replications, "master_seed": args.seed,
+           "chunk_elements": args.chunk_elements}
     reports = []
     for name in names:
         if name == "constants":
             reports.append(constants_suite(model, master_seed=args.seed))
         elif name == "oracle":
-            reports.append(oracle_suite(
-                model, max_total=args.max_total,
-                replications=args.replications, master_seed=args.seed,
-                start=args.start, chunk_elements=args.chunk_elements))
+            reports.append(oracle_suite(model, **run, **_given(
+                max_total=args.max_total, start=args.start)))
         elif name == "bound-dominance":
             for regime in ([args.regime] if args.regime
                            else ["uniform", "gap"]):
                 reports.append(bound_dominance_suite(
-                    model, regime=regime, n_grid=n_grid,
-                    replications=args.replications, master_seed=args.seed,
-                    delta=args.delta, start=args.start,
-                    chunk_elements=args.chunk_elements, **p))
+                    model, regime=regime, **run, **_given(
+                        n_grid=n_grid, p=args.p, delta=args.delta,
+                        start=args.start)))
         else:
-            reports.append(rate_suite(
-                model, gamma=args.gamma, n_grid=rate_grid,
-                replications=args.replications, master_seed=args.seed,
-                chunk_elements=args.chunk_elements, **p))
+            reports.append(rate_suite(model, **run, **_given(
+                n_grid=rate_grid, p=args.p, gamma=args.gamma)))
     return reports
 
 
@@ -503,19 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("all", "constants", "oracle",
                                    "bound-dominance", "rate"))
     validate.add_argument("--regime", choices=("uniform", "gap"))
-    validate.add_argument("--n-grid", dest="n_grid",
-                          default="10,100,1000,10000")
-    validate.add_argument("--rate-grid", dest="rate_grid",
-                          default="100,1000,10000,100000")
+    # a suite flag left unset takes the suite's own default
+    validate.add_argument("--n-grid", dest="n_grid")
+    validate.add_argument("--rate-grid", dest="rate_grid")
     validate.add_argument("--replications", type=int, default=10_000)
-    validate.add_argument("--max-total", dest="max_total", type=int,
-                          default=8)
-    validate.add_argument("--p", type=float,
-                          help="2.0 for dominance, 1.5 for rate by default")
-    validate.add_argument("--delta", type=float, default=0.5)
-    validate.add_argument("--gamma", type=float, default=0.65)
-    validate.add_argument("--start", choices=("point-mass", "stationary"),
-                          default="point-mass")
+    validate.add_argument("--max-total", dest="max_total", type=int)
+    validate.add_argument("--p", type=float)
+    validate.add_argument("--delta", type=float)
+    validate.add_argument("--gamma", type=float)
+    validate.add_argument("--start", choices=("point-mass", "stationary"))
     validate.add_argument("--chunk-elements", dest="chunk_elements",
                           type=_positive_int, default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(validate)

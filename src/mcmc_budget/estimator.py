@@ -231,14 +231,19 @@ def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> np.ndarray:
     return e1
 
 
+def _check_rate_sizes(sizes) -> None:
+    """A rate fit needs at least 4 points at 4 distinct sample sizes."""
+    if len(sizes) < 4:
+        raise DomainError("rate regression needs at least 4 points")
+    if len(set(sizes)) < 4:
+        raise DomainError("rate regression needs at least 4 distinct "
+                          "sample sizes")
+
+
 def rate_regression(points) -> RateFit:
     """Least-squares slope of log error against log sample size."""
     cleaned = tuple((float(n), float(e1)) for n, e1 in points)
-    if len(cleaned) < 4:
-        raise DomainError("rate regression needs at least 4 points")
-    if len({n for n, _ in cleaned}) < 4:
-        raise DomainError("rate regression needs at least 4 distinct "
-                          "sample sizes")
+    _check_rate_sizes([n for n, _ in cleaned])
     if any(n <= 0 for n, _ in cleaned):
         raise DomainError("sample sizes must be positive")
     if any(e1 <= 0 for _, e1 in cleaned):

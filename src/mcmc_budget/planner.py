@@ -301,24 +301,26 @@ REFERENCE_TABLE: tuple[ReferenceRow, ...] = (
 
 @dataclass(frozen=True)
 class TableRow:
-    """One recomputed reference-table row with per-cell deviations."""
+    """One recomputed reference-table row: each cell's computed value, its
+    recorded value (``_ref``) and their relative deviation (``_dev``).
+    The fields, in order, are the columns ``tables`` prints."""
 
     p: float
     epsilon: float
     gap: float
     dratio: float
-    delta_hat: float
-    total_hat: float
     delta_star: float
+    delta_star_ref: float
+    delta_star_dev: float
     total_star: float
-    ref_delta_hat: float
-    ref_total_hat: float
-    ref_delta_star: float
-    ref_total_star: float
-    dev_delta_hat: float
-    dev_total_hat: float
-    dev_delta_star: float
-    dev_total_star: float
+    total_star_ref: float
+    total_star_dev: float
+    delta_hat: float
+    delta_hat_ref: float
+    delta_hat_dev: float
+    total_hat: float
+    total_hat_ref: float
+    total_hat_dev: float
     suspect_cells: tuple[str, ...]
 
 
@@ -329,18 +331,15 @@ def budget_table() -> list[TableRow]:
         req = PlanRequest(epsilon=ref.epsilon, gap=ref.gap, dratio=ref.dratio,
                           f=FunctionClass(p=ref.p, norm_p=1.0), regime="gap")
         dh = delta_hat(ref.p, ref.epsilon, ref.dratio)
-        hat = budget_for_delta(dh, req)
         ds, star = delta_star(req)
-        dev = lambda got, ref_value: abs(got - ref_value) / abs(ref_value)
-        rows.append(TableRow(
-            p=ref.p, epsilon=ref.epsilon, gap=ref.gap, dratio=ref.dratio,
-            delta_hat=dh, total_hat=hat.total,
-            delta_star=ds, total_star=star.total,
-            ref_delta_hat=ref.delta_hat, ref_total_hat=ref.total_hat,
-            ref_delta_star=ref.delta_star, ref_total_star=ref.total_star,
-            dev_delta_hat=dev(dh, ref.delta_hat),
-            dev_total_hat=dev(hat.total, ref.total_hat),
-            dev_delta_star=dev(ds, ref.delta_star),
-            dev_total_star=dev(star.total, ref.total_star),
-            suspect_cells=ref.suspect_cells))
+        cells = {}
+        for cell, value in (("delta_star", ds), ("total_star", star.total),
+                            ("delta_hat", dh),
+                            ("total_hat", budget_for_delta(dh, req).total)):
+            recorded = getattr(ref, cell)
+            cells[cell], cells[f"{cell}_ref"] = value, recorded
+            cells[f"{cell}_dev"] = abs(value - recorded) / abs(recorded)
+        rows.append(TableRow(p=ref.p, epsilon=ref.epsilon, gap=ref.gap,
+                             dratio=ref.dratio, **cells,
+                             suspect_cells=ref.suspect_cells))
     return rows

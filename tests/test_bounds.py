@@ -7,6 +7,7 @@ written.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from mcmc_budget.bounds import (
     uniform_endpoint_bounds,
     uniform_error_bound,
 )
-from mcmc_budget.exceptions import DomainError, RegimeError
+from mcmc_budget.exceptions import DomainError, NumericalError, RegimeError
 
 
 def make_chain(gap=0.5, alpha=0.5, big_m=1.0, dratio=1.0, reversible=False):
@@ -570,3 +571,30 @@ def test_regime_consistency_gap_equals_one_minus_alpha():
         assert b.leading == pytest.approx(direct, rel=1e-10)
         assert b.higher_order == pytest.approx(
             4.0 * norm * (n * (1.0 - alpha)) ** (2.0 / p - 2.0), rel=1e-10)
+
+
+F15 = FunctionClass(p=1.5, norm_p=1.0)
+
+
+@pytest.mark.parametrize("evaluate, product", [
+    (lambda: uniform_error_bound(1e-200, make_chain(gap=1e-200, alpha=0.9),
+                                 F15), "n * gap"),
+    (lambda: uniform_error_bound(5e-324, make_chain(gap=1.0, alpha=0.9),
+                                 F15), "n * (1 - alpha)"),
+    (lambda: uniform_endpoint_bounds(1e-300, 0.0,
+                                     make_chain(gap=1e-300, alpha=0.9)),
+     "n * gap"),
+    (lambda: uniform_endpoint_bounds(5e-324, 0.0,
+                                     make_chain(gap=1.0, alpha=0.9)),
+     "n * (1 - alpha)"),
+    (lambda: gap_error_bound(1e-200, 0.1, 1e-200, F15), "n * gap"),
+    (lambda: gap_endpoint_bounds(1e-300, 0.0, 1e-300, 1.0, 1.1, 2.2),
+     "n * gap"),
+    (lambda: gap_burnin(1e-16, 1e-320, 10.0), "delta * gap"),
+], ids=["uniform-gap", "uniform-alpha", "uniform-endpoints-gap",
+        "uniform-endpoints-alpha", "gap", "gap-endpoints", "gap-burnin"])
+def test_underflowing_product_is_numerical_error(evaluate, product):
+    # each product is raised to a negative power or divided by
+    with pytest.raises(NumericalError, match=f"^{re.escape(product)} "
+                                             f"underflows to 0$"):
+        evaluate()

@@ -6,6 +6,7 @@ full precision.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -19,7 +20,7 @@ from mcmc_budget.bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from mcmc_budget import chains, cli
+from mcmc_budget import chains, cli, validate
 from mcmc_budget.chains import (_ReplicationStreams, load_chain, make_chain,
                                 simulate_trajectory)
 from mcmc_budget.cli import build_parser, main
@@ -29,7 +30,8 @@ from mcmc_budget.planner import (
     budget_for_delta,
     plan_uniform,
 )
-from mcmc_budget.validate import oracle_suite
+from mcmc_budget.validate import (bound_dominance_suite, oracle_suite,
+                                  rate_suite)
 
 
 F01 = np.array([0.0, 1.0])
@@ -101,6 +103,21 @@ class TestBound:
         row, = parse_csv(out)
         assert row["total"] == fmt(expected)
         assert row["leading"] == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--regime", "uniform", "--n", "1e-200", "--gap", "1e-200",
+         "--alpha", "0.9"),
+        ("--regime", "gap", "--n", "1e-200", "--gap", "1e-200",
+         "--delta", "0.1"),
+        ("--regime", "refined-uniform", "--n", "1e-300", "--n0", "0",
+         "--gap", "1e-300", "--alpha", "0.9", "--dratio", "1"),
+        ("--regime", "refined-gap", "--n", "1e-300", "--n0", "0",
+         "--gap", "1e-300", "--delta", "0.1", "--dratio", "1e300"),
+    ], ids=["uniform", "gap", "refined-uniform", "refined-gap"])
+    def test_underflowing_n_gap_is_numerical_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bound", "--p", "1.5", "--norm",
+                                 "1", *argv)
+        assert (code, out, err) == (3, "", "error: n * gap underflows to 0\n")
 
     def test_refined_gap_needs_n0_and_delta(self, capsys):
         code, _, err = run_cli(
@@ -255,6 +272,14 @@ class TestOptimize:
             "1e-300", "--dratio", "1e30")
         assert code == 3
         assert out == ""
+        assert err == "error: no feasible delta: every budget overflows\n"
+
+    def test_underflowing_delta_gap_is_numerical_error(self, capsys):
+        # delta * gap underflows to 0 at the smallest slacks of the search
+        code, out, err = run_cli(
+            capsys, "optimize", "--p", "1.5", "--eps", "0.1", "--gap",
+            "1e-320", "--dratio", "10")
+        assert (code, out) == (3, "")
         assert err == "error: no feasible delta: every budget overflows\n"
 
     def test_reference_row(self, capsys):
@@ -669,6 +694,68 @@ class TestValidateCommand:
         assert err == ("error: rate regression needs at least 4 distinct "
                        "sample sizes\n")
 
+    # the validate flags whose defaults live in the suite signatures
+    SUITE_FLAGS = ("n_grid", "rate_grid", "max_total", "p", "delta", "gamma",
+                   "start")
+
+    def test_suite_flags_are_unset_by_default(self, capsys):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        actions = {action.dest: action
+                   for action in commands.choices["validate"]._actions}
+        code, out, _ = run_cli(capsys, "validate", "--help")
+        assert code == 0
+        lines = [line.split() for line in out.splitlines()]
+        for dest in self.SUITE_FLAGS:
+            action = actions[dest]
+            assert (action.default, action.help) == (None, None)
+            # the help line is the flag and its metavar, naming no value
+            line, = [line for line in lines
+                     if line[:1] == action.option_strings]
+            assert len(line) == 2
+
+    @pytest.mark.parametrize("chain, suite, run_suites", [
+        ("two-state", "bound-dominance",
+         lambda: [bound_dominance_suite(regime=regime, replications=20)
+                  for regime in ("uniform", "gap")]),
+        ("two-state", "oracle", lambda: [oracle_suite(replications=20)]),
+        ("iid-uniform", "rate", lambda: [rate_suite(replications=20)]),
+    ], ids=["bound-dominance", "oracle", "rate"])
+    def test_unset_suite_flags_take_the_suite_defaults(
+            self, capsys, monkeypatch, chain, suite, run_suites):
+        monkeypatch.delenv("MCMC_BUDGET_SEED", raising=False)
+        code, out, _ = run_cli(capsys, "validate", "--chain", chain,
+                               "--suite", suite, "--replications", "20",
+                               "--format", "json")
+        reports = run_suites()
+        expected = [{"suite": report.suite, "passed": report.passed,
+                     "details": report.details,
+                     "rows": [row.as_dict() for row in report.rows]}
+                    for report in reports]
+        assert json.loads(out)["suites"] == json.loads(json.dumps(expected))
+        assert code == (0 if all(report.passed for report in reports)
+                        else 1)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--p", "1"), "p must lie in (1, 2]"),
+        (("--p", "3"), "p must lie in (1, 2]"),
+        (("--p", "nan"), "p must lie in (1, 2]"),
+        (("--rate-grid", "100000,100000,100000,100000"),
+         "rate regression needs at least 4 distinct sample sizes"),
+        (("--rate-grid", "100000,100000,100000"),
+         "rate regression needs at least 4 points"),
+    ], ids=["p-1", "p-3", "p-nan", "repeated-sizes", "three-points"])
+    def test_rate_inputs_are_checked_before_simulating(
+            self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before checking the inputs")
+        monkeypatch.setattr(validate, "estimate_e1_windows", refuse)
+        code, out, err = run_cli(
+            capsys, "validate", "--chain", "iid-uniform", "--suite", "rate",
+            "--rate-grid", "10,20,40,80", "--replications", "2000",
+            "--gamma", "0.3", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("chain, flag, grid", [
         ("two-state", "--n-grid", ""), ("two-state", "--n-grid", ","),
         ("iid-uniform", "--rate-grid", ""),
@@ -838,6 +925,17 @@ class TestConfigFile:
                                  "--delta", "0.2")
         assert code == 0
         assert from_config == explicit
+
+    def test_config_null_leaves_a_suite_flag_unset(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict.fromkeys(
+            TestValidateCommand.SUITE_FLAGS)))
+        argv = ("validate", "--chain", "two-state", "--suite", "oracle",
+                "--replications", "20", "--seed", "3")
+        code, from_config, err = run_cli(capsys, *argv, "--config",
+                                         str(config))
+        assert (code, err) == (0, "")
+        assert from_config == run_cli(capsys, *argv)[1]
 
     def test_malformed_config_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

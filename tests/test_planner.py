@@ -343,8 +343,8 @@ class TestReferenceTable:
         assert len(rows) == 6
         for row, ref in zip(rows, REFERENCE_TABLE):
             assert (row.p, row.epsilon) == (ref.p, ref.epsilon)
-            assert row.ref_delta_hat == ref.delta_hat
-            assert row.dev_delta_hat == pytest.approx(
+            assert row.delta_hat_ref == ref.delta_hat
+            assert row.delta_hat_dev == pytest.approx(
                 abs(row.delta_hat - ref.delta_hat) / ref.delta_hat, rel=1e-12)
             assert row.suspect_cells == ref.suspect_cells
             # the budgets behind the row are reproducible one-offs
@@ -363,4 +363,4 @@ class TestReferenceTable:
         row = [r for r in budget_table()
                if "total_hat" in r.suspect_cells][0]
         # computed value is an order of magnitude above the recorded one
-        assert row.total_hat / row.ref_total_hat > 5.0
+        assert row.total_hat / row.total_hat_ref > 5.0

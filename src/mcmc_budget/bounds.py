@@ -172,6 +172,18 @@ def _positive_product(a: float, b: float, name: str) -> float:
     return product
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """``base**exponent`` of a positive ``base``: a power that overflows is
+    an error.  The higher-order terms raise a subnormal product to a power
+    down to -1, which can overflow; the leading terms' powers, at least
+    -1/2, cannot."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise NumericalError(
+            f"{name} to the power {exponent:g} overflows") from None
+
+
 def _check_n(n: float) -> None:
     _require(n > 0.0, "sample size n must be positive")
 
@@ -203,7 +215,7 @@ def uniform_error_bound(n: float, chain: ChainParams,
     y = _positive_product(n, 1.0 - alpha, "n * (1 - alpha)")
     scale = 4.0 * f.norm_p
     leading = scale * x ** (1.0 / f.p - 1.0)
-    higher = scale * y ** (2.0 / f.p - 2.0)
+    higher = scale * _power(y, 2.0 / f.p - 2.0, "n * (1 - alpha)")
     return BoundBreakdown(leading=leading, higher_order=higher)
 
 
@@ -254,7 +266,7 @@ def gap_error_bound(n: float, delta: float, gap: float,
     x = _positive_product(n, gap, "n * gap")
     scale = 8.0 * f.norm_p
     leading = scale * x ** ((1.0 + delta) / f.p - 1.0)
-    higher = scale * x ** (2.0 * (1.0 + delta) / f.p - 2.0)
+    higher = scale * _power(x, 2.0 * (1.0 + delta) / f.p - 2.0, "n * gap")
     return BoundBreakdown(leading=leading, higher_order=higher)
 
 

@@ -39,7 +39,7 @@ from .chains import (
 )
 from .estimator import (DEFAULT_CHUNK_ELEMENTS, _check_rate_sizes,
                         estimate_e1_windows, exact_e1_small, rate_regression)
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalError
 
 __all__ = [
     "CSV_COLUMNS",
@@ -184,7 +184,11 @@ def bound_dominance_suite(chain="two-state", regime: str = "uniform",
     elif regime == "gap":
         if p <= 1.0 + delta:
             raise DomainError("the gap regime needs p > 1 + delta")
-        n0 = math.ceil(gap_burnin(delta, params.gap, params.dratio))
+        burnin = gap_burnin(delta, params.gap, params.dratio)
+        if burnin == math.inf:   # a subnormal delta * gap
+            raise NumericalError(f"the gap burn-in overflows at delta = "
+                                 f"{delta:g}")
+        n0 = math.ceil(burnin)
 
         def bound_total(n: int) -> float:
             return gap_error_bound(n, delta, params.gap, f).total

@@ -598,3 +598,30 @@ def test_underflowing_product_is_numerical_error(evaluate, product):
     with pytest.raises(NumericalError, match=f"^{re.escape(product)} "
                                              f"underflows to 0$"):
         evaluate()
+
+
+F2 = FunctionClass(p=2.0, norm_p=1.0)
+
+
+@pytest.mark.parametrize("evaluate, power", [
+    (lambda: uniform_error_bound(1e-310, make_chain(gap=1.0, alpha=0.0),
+                                 F2), "n * (1 - alpha) to the power -1"),
+    (lambda: gap_error_bound(1e-320, 1e-6, 1.0, F2),
+     "n * gap to the power -0.999999"),
+], ids=["uniform", "gap"])
+def test_overflowing_power_is_numerical_error(evaluate, power):
+    # a subnormal product is nonzero, but its negative power overflows
+    with pytest.raises(NumericalError, match=f"^{re.escape(power)} "
+                                             f"overflows$"):
+        evaluate()
+
+
+@pytest.mark.parametrize("n", [1e-300, 1e-150, 1.0, 1e300])
+def test_finite_powers_of_small_products_are_unchanged(n):
+    # the largest finite powers just below overflow print as before
+    chain = make_chain(gap=1.0, alpha=0.0)
+    b = uniform_error_bound(n, chain, F2)
+    assert b.leading == 4.0 * n ** -0.5
+    assert b.higher_order == 4.0 * n ** -1.0
+    g = gap_error_bound(n, 1e-6, 1.0, F2)
+    assert g.higher_order == 8.0 * n ** (2.0 * (1.0 + 1e-6) / 2.0 - 2.0)

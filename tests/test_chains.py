@@ -506,17 +506,31 @@ def test_stream_keys_reject_bad_seeds_and_indices(master_seed, start, stop):
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32, 2**130 + 7])
-@pytest.mark.parametrize("rows", [1, 2049, 4097])
+@pytest.mark.parametrize("rows", [
+    0, 1, 2049, chains._PHILOX_SLICE - 1, chains._PHILOX_SLICE,
+    chains._PHILOX_SLICE + 1, 2 * chains._PHILOX_SLICE + 1])
 def test_philox_block_function_is_numpy_philox(master_seed, rows):
-    # 2049 and 4097 rows cross one and two row-slice boundaries; a narrower
-    # draw is a prefix of a wider one on the same stream
-    keys = _stream_keys(master_seed, 0, rows)
+    # 1 and 2049 rows fill part of one row slice; the others end just
+    # before, at and just after one row-slice boundary, and one row past
+    # two.  A narrower draw is a prefix of a wider one on the same stream
+    _assert_block_function_is_numpy_philox(_stream_keys(master_seed, 0, rows))
+
+
+def test_philox_block_function_takes_keys_of_high_replications():
+    # replications above 2**31 set the top bit of a SeedSequence word
+    _assert_block_function_is_numpy_philox(
+        _stream_keys(2024, 2**32 - chains._PHILOX_SLICE - 3, 2**32))
+
+
+def _assert_block_function_is_numpy_philox(keys):
+    keys_before = keys.copy()
     want = np.array([np.random.Generator(np.random.Philox(key=key)).random(17)
-                     for key in keys])
+                     for key in keys]).reshape(len(keys), 17)
     for width in range(1, 18):
         got = _philox_uniforms(keys, width)
-        assert got.shape == (rows, width)
+        assert got.shape == (len(keys), width)
         assert np.array_equal(got, want[:, :width])
+    assert np.array_equal(keys, keys_before)
 
 
 @pytest.mark.parametrize("width", [1, 5, 1000])
@@ -529,9 +543,9 @@ def test_uniform_draws_rows_are_the_replication_streams(width):
 
 @pytest.mark.parametrize("width", [1, 8, 16, 17, 1000])
 def test_rekeyed_streams_are_the_seed_sequence_streams(width):
-    # 2049 rows cross a row slice of the block function, which serves up to
-    # 16 draws; wider rows come from the re-keyed generator
-    for start, stop in ((5, 17), (0, 2049)):
+    # one row more than a row slice of the block function, which serves up
+    # to 16 draws; wider rows come from the re-keyed generator
+    for start, stop in ((5, 17), (0, chains._PHILOX_SLICE + 1)):
         streams = _ReplicationStreams(2024, start, stop)
         assert len(streams) == stop - start
         draws = streams.uniforms(width)

@@ -119,6 +119,17 @@ class TestBound:
                                  "1", *argv)
         assert (code, out, err) == (3, "", "error: n * gap underflows to 0\n")
 
+    @pytest.mark.parametrize("argv, power", [
+        (("--regime", "uniform", "--n", "1e-310", "--gap", "1", "--alpha",
+          "0"), "n * (1 - alpha) to the power -1"),
+        (("--regime", "gap", "--n", "1e-320", "--gap", "1", "--delta",
+          "1e-6"), "n * gap to the power -0.999999"),
+    ], ids=["uniform", "gap"])
+    def test_overflowing_power_is_numerical_error(self, capsys, argv, power):
+        code, out, err = run_cli(capsys, "bound", "--p", "2", "--norm", "1",
+                                 *argv)
+        assert (code, out, err) == (3, "", f"error: {power} overflows\n")
+
     def test_refined_gap_needs_n0_and_delta(self, capsys):
         code, _, err = run_cli(
             capsys, "bound", "--regime", "refined-gap", "--n", "100",
@@ -755,6 +766,15 @@ class TestValidateCommand:
             "--rate-grid", "10,20,40,80", "--replications", "2000",
             "--gamma", "0.3", *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_overflowing_gap_burnin_is_numerical_error(self, capsys):
+        # delta * gap is subnormal, so the recipe burn-in divides to inf
+        code, out, err = run_cli(
+            capsys, "validate", "--chain", "two-state", "--suite",
+            "bound-dominance", "--regime", "gap", "--delta", "1e-310",
+            "--n-grid", "10", "--replications", "2")
+        assert (code, out, err) == (
+            3, "", "error: the gap burn-in overflows at delta = 1e-310\n")
 
     @pytest.mark.parametrize("chain, flag, grid", [
         ("two-state", "--n-grid", ""), ("two-state", "--n-grid", ","),

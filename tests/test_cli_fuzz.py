@@ -1,7 +1,8 @@
 """Property test: every command line ends in a documented exit code.
 
 Generated argv and ``--config`` files over all six commands, mixing valid
-and invalid values, must end in exit 0-3 with no traceback; so must
+and invalid values and finite floats at a double's edges (subnormal and
+huge), must end in exit 0-3 with no traceback; so must
 generated chain documents, each a valid chain with at most one part
 broken.  Sizes stay moderate (at most 200 replications, walks of at most
 50 steps, short grids), so each example runs in milliseconds.
@@ -18,11 +19,23 @@ from hypothesis import strategies as st
 from mcmc_budget.cli import main
 
 BAD_NUMBERS = ["-1", "0", "nan", "inf", "-inf", "1e400", "abc", "", "1.5"]
+# finite spellings at the edges of a double: subnormal and huge
+EXTREME_NUMBERS = ["1e-310", "5e-324", "1e300"]
 
 
-def real(low: float, high: float):
-    """A float flag: (valid values, invalid spellings)."""
-    return st.floats(low, high).map(repr), BAD_NUMBERS
+def real(low: float, high: float, *edges: str):
+    """A float flag: (valid values, also at a double's edges and at the
+    flag's own ``edges``, invalid spellings)."""
+    values = [st.floats(low, high).map(repr), st.sampled_from(EXTREME_NUMBERS)]
+    if edges:
+        values.append(st.sampled_from(edges))
+    return st.one_of(values), BAD_NUMBERS
+
+
+def power(low: float, high: float):
+    """A ``--p`` flag, also at p = 2, the L2 case, where the bounds' negative
+    powers are steepest."""
+    return real(low, high, "2")
 
 
 def integer(low: int, high: int):
@@ -34,7 +47,7 @@ def choice(*values):
 
 
 PLANNING = {
-    "--p": real(1.05, 2.0), "--eps": real(1e-3, 1.0),
+    "--p": power(1.05, 2.0), "--eps": real(1e-3, 1.0),
     "--gap": real(1e-3, 1.0),
     "--dratio": (st.one_of(st.floats(0.0, 1e6).map(repr), st.just("1e30")),
                  BAD_NUMBERS),
@@ -48,7 +61,7 @@ FLAGS = {
     "bound": {
         "--regime": choice("uniform", "gap", "refined-uniform",
                            "refined-gap"),
-        "--n": real(1.0, 1e9), "--p": real(1.05, 2.5),
+        "--n": real(1.0, 1e9), "--p": power(1.05, 2.5),
         "--norm": real(0.1, 10.0), "--gap": real(0.01, 1.0),
         "--n0": real(0.0, 1e6), "--alpha": real(0.0, 0.99),
         "--big-m": real(0.5, 10.0), "--dratio": real(0.0, 1e6),
@@ -63,7 +76,7 @@ FLAGS = {
         "--n": integer(1, 50), "--n0": integer(0, 6),
         "--replications": integer(1, 200),
         "--f": (st.sampled_from(["0,1", "0,1,2", "-1,2"]), ["a", "", ","]),
-        "--gamma": real(0.05, 0.6), "--p": real(1.05, 2.5),
+        "--gamma": real(0.05, 0.6), "--p": power(1.05, 2.5),
         "--trajectory": None,
         "--chunk-elements": (st.sampled_from(["1", "7", "256"]),
                              ["0", "-3", "x"]),
@@ -79,7 +92,7 @@ FLAGS = {
         "--rate-grid": (st.sampled_from(["10,20,40,80", "20,40,60,100"]),
                         ["50", "5,5,5,5", "", "x,1"]),
         "--replications": integer(2, 200), "--max-total": integer(1, 4),
-        "--p": real(1.05, 3.0), "--delta": real(0.05, 0.95),
+        "--p": power(1.05, 3.0), "--delta": real(0.05, 0.95),
         "--gamma": real(0.05, 0.6),
         "--start": choice("point-mass", "stationary"),
         "--chunk-elements": (st.sampled_from(["1", "7", "256"]),

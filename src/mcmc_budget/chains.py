@@ -3,7 +3,9 @@
 Two families are provided.  Finite reversible chains admit brute-force
 ground truth: the spectral gap comes from an eigendecomposition of the
 stationarity-symmetrized transition matrix, and the total-variation decay
-constants are certified against exact matrix powers.  A continuous family
+constants are certified against exact matrix powers; each chain computes
+them once, on first use, and keeps them.  A model's ``params`` are its
+chain's constants with its start law's density ratio.  A continuous family
 (i.i.d. uniform draws and an independence Metropolis sampler on the unit
 interval) hosts the heavy-tailed integrands ``x**-gamma`` whose stationary
 variance is infinite, which no finite state space can produce.
@@ -63,8 +65,6 @@ __all__ = [
     "finite_model",
     "load_chain",
     "make_chain",
-    "simulate_trajectory",
-    "singular_f",
     "spectral_gap_exact",
     "uniform_ergodicity_constants",
 ]
@@ -396,6 +396,45 @@ class FiniteChain:
         use and freed with the chain."""
         return _path_table(self.transition)
 
+    @cached_property
+    def _gap(self) -> float:
+        """:func:`spectral_gap_exact`, computed on first use and kept."""
+        if not self.reversible:
+            raise RegimeError(
+                "the exact spectral gap needs a reversible chain")
+        pi = self.stationary
+        if (pi <= 0).any():
+            # an irreducible chain puts positive stationary mass on every state
+            raise DomainError("chain is reducible (its stationary "
+                              "distribution has a zero entry)")
+        root = np.sqrt(pi)
+        sym = (root[:, None] / root[None, :]) * self.transition
+        sym = 0.5 * (sym + sym.T)
+        eigenvalues = np.linalg.eigvalsh(sym)
+        if len(eigenvalues) == 1:
+            return 1.0
+        slem = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-2])))
+        return 1.0 - slem
+
+    @cached_property
+    def _decay(self) -> tuple[float, float]:
+        """:func:`uniform_ergodicity_constants`, computed on first use from
+        :attr:`_gap` and kept."""
+        alpha = 1.0 - self._gap
+        if alpha <= 1e-12:
+            return 0.0, 1.0
+        if alpha >= 1.0 - 1e-12:
+            raise DomainError(
+                "chain is periodic or reducible (an eigenvalue has modulus 1)")
+        alpha_pow = 1.0
+        big_m = 0.0
+        for tv in _worst_start_tv(self, _TV_HORIZON):
+            alpha_pow *= alpha
+            if alpha_pow == 0.0 or tv <= TV_RESOLUTION:
+                break
+            big_m = max(big_m, float(tv) / alpha_pow)
+        return alpha, big_m if big_m > 0.0 else 1.0
+
     def expectation(self, f_values) -> float:
         """Stationary mean of the state values ``f_values``."""
         f = np.asarray(f_values, dtype=float)
@@ -576,22 +615,7 @@ def spectral_gap_exact(chain: FiniteChain) -> float:
     the stationary weights and its spectrum is real, so the operator norm
     equals the spectral radius on the mean-zero subspace.
     """
-    if not chain.reversible:
-        raise RegimeError(
-            "the exact spectral gap needs a reversible chain")
-    pi = chain.stationary
-    if (pi <= 0).any():
-        # an irreducible chain puts positive stationary mass on every state
-        raise DomainError("chain is reducible (its stationary distribution "
-                          "has a zero entry)")
-    root = np.sqrt(pi)
-    sym = (root[:, None] / root[None, :]) * chain.transition
-    sym = 0.5 * (sym + sym.T)
-    eigenvalues = np.linalg.eigvalsh(sym)
-    if len(eigenvalues) == 1:
-        return 1.0
-    slem = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-2])))
-    return 1.0 - slem
+    return chain._gap
 
 
 def uniform_ergodicity_constants(chain: FiniteChain) -> tuple[float, float]:
@@ -604,21 +628,7 @@ def uniform_ergodicity_constants(chain: FiniteChain) -> tuple[float, float]:
     falls below :data:`TV_RESOLUTION`, where float64 powers no longer
     carry decay signal.  An i.i.d. chain returns ``(0.0, 1.0)``.
     """
-    gap = spectral_gap_exact(chain)
-    alpha = 1.0 - gap
-    if alpha <= 1e-12:
-        return 0.0, 1.0
-    if alpha >= 1.0 - 1e-12:
-        raise DomainError(
-            "chain is periodic or reducible (an eigenvalue has modulus 1)")
-    alpha_pow = 1.0
-    big_m = 0.0
-    for tv in _worst_start_tv(chain, _TV_HORIZON):
-        alpha_pow *= alpha
-        if alpha_pow == 0.0 or tv <= TV_RESOLUTION:
-            break
-        big_m = max(big_m, float(tv) / alpha_pow)
-    return alpha, big_m if big_m > 0.0 else 1.0
+    return chain._decay
 
 
 def _worst_start_tv(chain: FiniteChain, horizon: int):
@@ -731,16 +741,6 @@ def _time_major_blocks(draws: np.ndarray, first: int):
             draws[:, start:start + _STEP_BLOCK].T)
 
 
-def simulate_trajectory(chain: FiniteChain, nu: InitialDistribution,
-                        length: int, seed: int) -> np.ndarray:
-    """One state trajectory, ``X_1 ~ nu`` and then transition steps: the
-    replication 0 of ``seed`` that ``simulate --trajectory`` prints."""
-    if length < 1:
-        raise DomainError("length must be at least 1")
-    draws = _ReplicationStreams(seed, 0, 1).uniforms(length)
-    return _batch_states(chain, nu, draws)[0]
-
-
 # ---------------------------------------------------------------------------
 # heavy-tailed integrands and continuous samplers
 
@@ -814,11 +814,6 @@ class SingularFunction:
                 f"the L_{p:g} norm diverges: gamma * p = {weight:g} "
                 f">= {scale:g}")
         return (scale / (scale - weight)) ** (1.0 / p)
-
-
-def singular_f(gamma: float) -> SingularFunction:
-    """Heavy-tailed test integrand ``x**-gamma`` with exact moments."""
-    return SingularFunction(gamma)
 
 
 class _ContinuousSampler:
@@ -897,12 +892,19 @@ class IndepMHSampler(_ContinuousSampler):
 
 @dataclass(frozen=True, eq=False)
 class FiniteChainModel:
-    """A finite chain bundled with a start law and certified constants."""
+    """A finite chain bundled with a start law; its certified constants
+    are the chain's, with the start's density ratio."""
 
     name: str
     chain: FiniteChain
     nu: InitialDistribution
-    params: ChainParams
+
+    @property
+    def params(self) -> ChainParams:
+        alpha, big_m = uniform_ergodicity_constants(self.chain)
+        return ChainParams(gap=spectral_gap_exact(self.chain), alpha=alpha,
+                           big_m=big_m, dratio=self.nu.dratio,
+                           reversible=True)
 
     def expectation(self, f_values) -> float:
         return self.chain.expectation(f_values)
@@ -910,8 +912,14 @@ class FiniteChainModel:
     def lp_norm(self, f_values, p: float) -> float:
         if p < 1.0:
             raise DomainError("p must be at least 1")
-        weights = np.abs(np.asarray(f_values, dtype=float)) ** p
-        return float(self.chain.stationary @ weights) ** (1.0 / p)
+        f = np.abs(np.asarray(f_values, dtype=float))
+        with np.errstate(over="ignore"):
+            norm = float(self.chain.stationary @ f**p) ** (1.0 / p)
+        if math.isinf(norm):   # |f|**p overflowed where the norm need not
+            scale = float(f.max())
+            norm = scale * float(self.chain.stationary
+                                 @ (f / scale)**p) ** (1.0 / p)
+        return norm
 
     def batch_values(self, f_values, length: int, streams) -> np.ndarray:
         """``f`` along each replication's walk, one row per stream.
@@ -935,13 +943,12 @@ class FiniteChainModel:
 
 def finite_model(chain: FiniteChain, nu: InitialDistribution | None = None,
                  name: str = "custom") -> FiniteChainModel:
-    """Bundle a reversible finite chain with its exact constants."""
+    """Bundle a reversible finite chain with its exact constants; refuses
+    a chain that is not reversible, irreducible and aperiodic."""
     nu = nu if nu is not None else InitialDistribution.stationary(chain)
-    gap = spectral_gap_exact(chain)
-    alpha, big_m = uniform_ergodicity_constants(chain)
-    params = ChainParams(gap=gap, alpha=alpha, big_m=big_m, dratio=nu.dratio,
-                         reversible=True)
-    return FiniteChainModel(name=name, chain=chain, nu=nu, params=params)
+    model = FiniteChainModel(name=name, chain=chain, nu=nu)
+    model.params   # computes the chain's constants, or raises
+    return model
 
 
 def make_chain(name: str):

@@ -38,7 +38,7 @@ from .bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from .chains import FiniteChainModel, _ReplicationStreams, singular_f
+from .chains import FiniteChainModel, SingularFunction, _ReplicationStreams
 from .estimator import DEFAULT_CHUNK_ELEMENTS, _check_window, estimate_e1
 from .exceptions import McmcBudgetError
 from .planner import PlanRequest, TableRow, budget_for_delta, budget_table, \
@@ -83,18 +83,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _numpy_scalar(value):
-    """``json.dumps`` hook: a numpy integer or float as its Python number."""
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    f"is not JSON serializable")
-
-
 def _emit(args, columns, rows, json_payload) -> None:
     """Write rows as CSV (formatted) or the payload as JSON."""
     if args.format == "json":
-        text = json.dumps(json_payload, indent=2, default=_numpy_scalar) + "\n"
+        text = json.dumps(json_payload, indent=2) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -260,7 +252,7 @@ def _simulation_function(args, model):
     if args.f is not None:
         raise _UsageError("--f takes state values of a finite chain; "
                           "a sampler's function is set by --gamma")
-    return singular_f(args.gamma)
+    return SingularFunction(args.gamma)
 
 
 def _load_model(source: str):

@@ -30,12 +30,11 @@ from .chains import (
     TV_RESOLUTION,
     FiniteChainModel,
     InitialDistribution,
+    SingularFunction,
     _TV_HORIZON,
     _worst_start_tv,
     load_chain,
     make_chain,
-    singular_f,
-    spectral_gap_exact,
 )
 from .estimator import (DEFAULT_CHUNK_ELEMENTS, _check_rate_sizes,
                         estimate_e1_windows, exact_e1_small, rate_regression)
@@ -113,13 +112,11 @@ def _point_mass_rebind(model: FiniteChainModel) -> FiniteChainModel:
 
     This maximizes the density-ratio penalty the burn-in recipes have to
     neutralize, which is the interesting regime for dominance checks.  The
-    chain's constants do not depend on the start law, so only ``dratio``
-    changes.
+    chain, and with it every constant but ``dratio``, stays.
     """
     state = int(np.argmin(np.asarray(model.chain.stationary)))
-    nu = InitialDistribution.point_mass(state, model.chain)
-    return replace(model, nu=nu,
-                   params=replace(model.params, dratio=nu.dratio))
+    return replace(model,
+                   nu=InitialDistribution.point_mass(state, model.chain))
 
 
 def _default_values(model: FiniteChainModel) -> np.ndarray:
@@ -222,7 +219,7 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
     right end is the planner's guaranteed rate.
     """
     model = _model(chain, "rate")
-    f = singular_f(gamma)
+    f = SingularFunction(gamma)
     # fail fast on p, on a norm that diverges for this pair and on the grid
     FunctionClass(p=p, norm_p=model.lp_norm(f, p))
     _check_rate_sizes(n_grid)
@@ -292,7 +289,6 @@ def constants_suite(chain="two-state",
     """
     model = _model(chain, "constants")
     params = model.params
-    gap = spectral_gap_exact(model.chain)
     certified = all(
         tv <= max(params.alpha**n * params.big_m * (1 + 1e-9), TV_RESOLUTION)
         for n, tv in enumerate(_worst_start_tv(model.chain, _TV_HORIZON),
@@ -308,7 +304,8 @@ def constants_suite(chain="two-state",
             balanced = False
     rows = (
         CheckRow(suite="constants", chain=model.name, check="gap-vs-alpha",
-                 passed=gap >= 1.0 - params.alpha - 1e-10, seed=master_seed),
+                 passed=params.gap >= 1.0 - params.alpha - 1e-10,
+                 seed=master_seed),
         CheckRow(suite="constants", chain=model.name,
                  check="tv-certification", n=_TV_HORIZON, passed=certified,
                  seed=master_seed),

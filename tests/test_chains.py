@@ -34,10 +34,9 @@ from mcmc_budget.chains import (
     IndepMHSampler,
     InitialDistribution,
     PowerLawDensity,
+    SingularFunction,
     load_chain,
     make_chain,
-    simulate_trajectory,
-    singular_f,
     spectral_gap_exact,
     uniform_ergodicity_constants,
 )
@@ -96,6 +95,15 @@ class TestFiniteChain:
         with pytest.raises(ChainValidationError, match="1000"):
             FiniteChain.from_matrix(np.eye(1001))
 
+    @pytest.mark.parametrize("stationary, invariant", [
+        ([1.0], "length matches the state count"),
+        ([1.5, -0.5], "entries are nonnegative"),
+        ([0.5, 0.6], "sums to 1"),
+    ], ids=["length", "sign", "sum"])
+    def test_stationary_vector_is_checked(self, stationary, invariant):
+        with pytest.raises(ChainValidationError, match=invariant):
+            FiniteChain(TWO_STATE, stationary)
+
 
 class TestInitialDistribution:
     def test_point_mass_dratio(self):
@@ -132,6 +140,10 @@ class TestSpectralGap:
     def test_iid_rows(self):
         chain = FiniteChain.from_matrix([[0.5, 0.3, 0.2]] * 3)
         assert spectral_gap_exact(chain) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_state(self):
+        # one eigenvalue, and no second one to take the modulus of
+        assert spectral_gap_exact(FiniteChain.from_matrix([[1.0]])) == 1.0
 
     def test_lazy_cycles(self):
         for s, want in [(3, 0.75), (4, 0.5)]:
@@ -219,30 +231,36 @@ class TestUniformErgodicityConstants:
 # simulation
 
 
+def trajectory(chain, nu, length, seed):
+    """Replication 0 of ``seed``: the walk ``simulate --trajectory``
+    prints."""
+    model = FiniteChainModel("trajectory", chain, nu)
+    return model.batch_values(np.arange(chain.size), length,
+                              _ReplicationStreams(seed, 0, 1))[0]
+
+
 class TestSimulateTrajectory:
     def test_deterministic_given_seed(self):
         chain = FiniteChain.from_matrix(TWO_STATE)
         nu = InitialDistribution.stationary(chain)
-        a = simulate_trajectory(chain, nu, 50, seed=123)
-        b = simulate_trajectory(chain, nu, 50, seed=123)
+        a = trajectory(chain, nu, 50, seed=123)
+        b = trajectory(chain, nu, 50, seed=123)
         assert np.array_equal(a, b)
-        c = simulate_trajectory(chain, nu, 50, seed=124)
+        c = trajectory(chain, nu, 50, seed=124)
         assert not np.array_equal(a, c)
 
     def test_point_mass_start(self):
         chain = FiniteChain.from_matrix(TWO_STATE)
         nu = InitialDistribution.point_mass(1, chain)
         for seed in range(5):
-            assert simulate_trajectory(chain, nu, 3, seed=seed)[0] == 1
+            assert trajectory(chain, nu, 3, seed=seed)[0] == 1
 
     def test_seed_is_a_required_nonnegative_integer(self):
-        chain = FiniteChain.from_matrix(TWO_STATE)
-        nu = InitialDistribution.stationary(chain)
         with pytest.raises(TypeError):
-            simulate_trajectory(chain, nu, 5)
+            _ReplicationStreams(start=0, stop=1)
         for seed in (-1, 1.5, None, True):
             with pytest.raises(DomainError, match="master seed"):
-                simulate_trajectory(chain, nu, 5, seed=seed)
+                _ReplicationStreams(seed, 0, 1)
 
     def test_stationary_frequencies(self):
         model = make_chain("two-state")
@@ -256,7 +274,7 @@ class TestSimulateTrajectory:
     def test_iid_chain_matches_stationary_law(self):
         chain = FiniteChain.from_matrix([[0.25, 0.75], [0.25, 0.75]])
         nu = InitialDistribution.stationary(chain)
-        traj = simulate_trajectory(chain, nu, 4000, seed=9)
+        traj = trajectory(chain, nu, 4000, seed=9)
         assert abs(traj.mean() - 0.75) < 4 * math.sqrt(0.1875 / 4000)
 
 
@@ -266,35 +284,35 @@ class TestSimulateTrajectory:
 
 class TestSingularFunction:
     def test_exact_moments_gamma_06(self):
-        f = singular_f(0.6)
+        f = SingularFunction(0.6)
         assert f.expectation() == pytest.approx(2.5, rel=1e-14)
         assert f.lp_norm(1.5) == pytest.approx(10.0 ** (2 / 3), rel=1e-13)
         with pytest.raises(DivergenceError):
             f.lp_norm(2.0)  # variance infinite: 2*0.6 > 1
 
     def test_exact_moments_gamma_065(self):
-        f = singular_f(0.65)
+        f = SingularFunction(0.65)
         assert f.lp_norm(1.5) ** 1.5 == pytest.approx(40.0, rel=1e-12)
         assert f.kappa == pytest.approx(1 / 0.65, rel=1e-14)
 
     def test_finite_variance_control(self):
-        f = singular_f(0.25)
+        f = SingularFunction(0.25)
         assert f.lp_norm(2.0) == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
     def test_divergence_threshold(self):
-        f = singular_f(0.6)
+        f = SingularFunction(0.6)
         with pytest.raises(DivergenceError):
             f.lp_norm(1 / 0.6)
 
     def test_gamma_domain(self):
         with pytest.raises(DomainError):
-            singular_f(0.0)
+            SingularFunction(0.0)
         with pytest.raises(DomainError):
-            singular_f(1.0)
+            SingularFunction(1.0)
 
     def test_moments_match_quadrature(self):
         for gamma in (0.3, 0.5, 0.6, 0.65):
-            f = singular_f(gamma)
+            f = SingularFunction(gamma)
             want_mean = quad(lambda x: x**-gamma, 0.0, 1.0)[0]
             assert f.expectation() == pytest.approx(want_mean, rel=1e-8)
             for p in (1.1, 1.4):
@@ -304,13 +322,13 @@ class TestSingularFunction:
 
     def test_moments_under_linear_density(self):
         density = PowerLawDensity(1.0)
-        f = singular_f(0.3)
+        f = SingularFunction(0.3)
         assert f.expectation(density) == pytest.approx(2.0 / 1.7, rel=1e-13)
         want = quad(lambda x: 2.0 * x * x**(-0.3 * 1.5), 0.0, 1.0)[0]
         assert f.lp_norm(1.5, density) ** 1.5 == pytest.approx(want, rel=1e-8)
 
     def test_values(self):
-        f = singular_f(0.5)
+        f = SingularFunction(0.5)
         assert f(0.25) == pytest.approx(2.0, rel=1e-14)
         got = f(np.array([1.0, 0.01]))
         assert got == pytest.approx([1.0, 10.0], rel=1e-12)
@@ -344,7 +362,7 @@ class TestContinuousSamplers:
 
     def test_iid_values_are_the_uniform_stream(self):
         s = IidUniformSampler()
-        f = singular_f(0.5)
+        f = SingularFunction(0.5)
         got = s.batch_values(f, 6, _ReplicationStreams(7, 0, 1))[0]
         want = f(_seed_sequence_rng(7, 0).random(6))
         assert np.array_equal(got, want)
@@ -352,7 +370,7 @@ class TestContinuousSamplers:
     def test_mh_uniform_target_is_iid(self):
         s = IndepMHSampler(PowerLawDensity(0.0))
         assert s.params.alpha == 0.0
-        f = singular_f(0.5)
+        f = SingularFunction(0.5)
         got = s.batch_values(f, 4, _ReplicationStreams(3, 0, 1))[0]
         u = _seed_sequence_rng(3, 0).random(7)
         # initial inverse-CDF draw, then every accepted proposal
@@ -424,6 +442,35 @@ class TestZoo:
         assert model.lp_norm(f, 2.0) == pytest.approx(
             math.sqrt(1 / 3), rel=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(f=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+           p=st.floats(1.0, 8.0))
+    def test_finite_norm_is_the_stationary_sum(self, f, p):
+        model = make_chain("lazy-cycle-3")
+        weights = np.abs(np.array(f)) ** p
+        assert model.lp_norm(f, p) == \
+            float(model.chain.stationary @ weights) ** (1.0 / p)
+
+    @pytest.mark.parametrize("chain, f, p, want", [
+        ("two-state", [1e200, 0.0], 2.0, 1e200 * math.sqrt(2 / 3)),
+        ("two-state", [0.0, -1e300], 1.5, 1e300 * (1 / 3) ** (1 / 1.5)),
+        ("lazy-cycle-3", [0.0, 1.0, 2.0], 1e300, 2.0),
+    ], ids=["1e200-p2", "1e300-p1.5", "p-1e300"])
+    def test_norm_is_finite_where_powers_overflow(self, chain, f, p, want):
+        # |f|**p overflows, and no warning may be printed
+        norm = make_chain(chain).lp_norm(f, p)
+        assert type(norm) is float
+        assert norm == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("integrand", [
+        lambda p: SingularFunction(0.5).lp_norm(p),
+        lambda p: make_chain("two-state").lp_norm([0.0, 1.0], p),
+    ], ids=["singular", "finite"])
+    def test_norm_order_below_one_is_refused(self, integrand):
+        with pytest.raises(DomainError, match="p must be at least 1"):
+            integrand(0.5)
+
     def test_json_round_trip(self, tmp_path):
         doc = {"matrix": TWO_STATE, "nu": [0.0, 1.0], "reversible": True}
         path = tmp_path / "chain.json"
@@ -461,6 +508,11 @@ class TestZoo:
         ({"matrix": TWO_STATE, "nu": [True, False]}, "nu entries"),
         ({"matrix": [[True, False], [0.5, 0.5]]}, "finite numbers"),
         ({"matrix": np.eye(2, dtype=bool)}, "finite numbers"),
+        ({"matrix": TWO_STATE, "nu": [-0.5, 1.5]}, "nu entries are nonneg"),
+        ({"matrix": [[1.0, 0.0], [1.0, 0.0]], "nu": [0.5, 0.5]},
+         "dratio is finite"),
+        ({"matrix": TWO_STATE, "start": [1.0, 0.0]}, "unknown chain fields"),
+        ({"nu": [0.5, 0.5]}, "has a 'matrix' field"),
     ])
     def test_json_malformed_document_names_invariant(self, document,
                                                      invariant):
@@ -568,10 +620,10 @@ def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows):
             monkeypatch.setattr(chains, "_worker_count", lambda: workers)
             outputs[workers] = [
                 streams.uniforms(17), streams.uniforms(1000),
-                IidUniformSampler().batch_values(singular_f(0.65), 1000,
-                                                 streams),
+                IidUniformSampler().batch_values(SingularFunction(0.65),
+                                                 1000, streams),
                 IndepMHSampler(PowerLawDensity(1.0)).batch_values(
-                    singular_f(0.5), 300, streams)]
+                    SingularFunction(0.5), 300, streams)]
     finally:
         sys.setswitchinterval(interval)
     for workers in (2, 3):
@@ -863,7 +915,7 @@ def test_path_tables_are_built_once_on_first_use_and_freed(monkeypatch):
 
 def test_indep_mh_values_do_not_depend_on_chunking():
     s = make_chain("indep-mh-2x")
-    f = singular_f(0.65)
+    f = SingularFunction(0.65)
     whole = s.batch_values(f, 300, _ReplicationStreams(13, 0, 40))
     pieces = np.vstack([s.batch_values(f, 300, _ReplicationStreams(13, a, b))
                         for a, b in ((0, 1), (1, 17), (17, 40))])

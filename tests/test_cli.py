@@ -21,8 +21,7 @@ from mcmc_budget.bounds import (
     uniform_error_bound,
 )
 from mcmc_budget import chains, cli, validate
-from mcmc_budget.chains import (_ReplicationStreams, load_chain, make_chain,
-                                simulate_trajectory)
+from mcmc_budget.chains import _ReplicationStreams, load_chain, make_chain
 from mcmc_budget.cli import build_parser, main
 from mcmc_budget.estimator import estimate_e1
 from mcmc_budget.planner import (
@@ -78,6 +77,16 @@ class TestBound:
             "--gap", "1", "--norm", "1")
         assert code == 2
         assert "--delta" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--regime", "uniform"), "this regime requires --alpha"),
+        (("--regime", "refined-uniform", "--alpha", "0"),
+         "the refined-uniform regime requires --n0"),
+    ], ids=["uniform", "refined-uniform"])
+    def test_missing_regime_flag_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bound", "--n", "1", "--p", "2",
+                                 "--gap", "1", "--norm", "1", *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
     def test_unknown_regime_is_usage_error(self, capsys):
         code, _, _ = run_cli(
@@ -391,7 +400,8 @@ class TestSimulate:
     def test_trajectory_is_replication_zero_of_the_api(self, capsys, name,
                                                        seed):
         model = make_chain(name)
-        states = simulate_trajectory(model.chain, model.nu, 12, seed=seed)
+        states = model.batch_values(np.arange(model.chain.size), 12,
+                                    _ReplicationStreams(seed, 0, 1))[0]
         code, out, _ = run_cli(
             capsys, "simulate", "--chain", name, "--n", "12", "--trajectory",
             "--seed", str(seed), "--format", "json")
@@ -416,6 +426,38 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "non-finite" in err and values in err
+
+    @pytest.mark.parametrize("argv, stdout, stderr", [
+        (("simulate", "--chain", "two-state", "--n", "3", "--replications",
+          "2", "--f", "1e200,0", "--p", "2"),
+         "chain,n,n0,replications,e1_hat,uncertainty,bound_total,seed\n"
+         "two-state,3,0,2,6.66667e+199,0.00000e+00,7.07153e+200,2024\n",
+         ""),
+        (("validate", "--chain", "lazy-cycle-3", "--suite",
+          "bound-dominance", "--p", "1e300", "--replications", "20",
+          "--n-grid", "10"), "", "error: p must lie in (1, 2]\n"),
+    ], ids=["simulate", "validate"])
+    def test_overflowing_norm_powers_give_the_finite_norm(
+            self, capsys, argv, stdout, stderr):
+        # |f|**p overflows a float; the norm does not, and no warning shows
+        code, out, err = run_cli(capsys, *argv, "--seed", "2024")
+        assert (code, out, err) == (3 if stderr else 0, stdout, stderr)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--chain", "two-state", "--n", "2", "--f", "a,b"),
+         "usage error: cannot parse value vector from 'a,b'\n"),
+        (("validate", "--chain", "two-state", "--suite", "bound-dominance",
+          "--n-grid", "abc"),
+         "usage error: cannot parse integer grid from 'abc'\n"),
+        (("simulate", "--chain", "two-state", "--n", "2",
+          "--chunk-elements", "abc"),
+         "argument --chunk-elements: must be a positive integer, "
+         "got 'abc'\n"),
+    ], ids=["f", "n-grid", "chunk-elements"])
+    def test_unparsable_value_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(message)
 
     @pytest.mark.parametrize("chain", ["two-state", "indep-mh-2x",
                                        "iid-uniform"])
@@ -803,6 +845,7 @@ class TestValidateCommand:
         ('{"matrix": [[0.5, 0.5], [0.5]]}', "square array"),
         ('{"matrix": [[0.9, 0.1], [0.2, 0.8]], "reversible": "no"}',
          "JSON boolean"),
+        ('[[0.9, 0.1], [0.2, 0.8]]', "chain document is a JSON object"),
     ])
     def test_malformed_json_chain_is_domain_error(self, capsys, tmp_path,
                                                   text, invariant):
@@ -956,6 +999,23 @@ class TestConfigFile:
                                          str(config))
         assert (code, err) == (0, "")
         assert from_config == run_cli(capsys, *argv)[1]
+
+    def test_unreadable_config_rejected(self, capsys, tmp_path):
+        config = tmp_path / "nosuch.json"
+        code, out, err = run_cli(
+            capsys, "simulate", "--chain", "two-state", "--n", "1",
+            "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: cannot read config: ")
+        assert str(config) in err
+
+    def test_config_without_a_command_is_usage_error(self, capsys,
+                                                     tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 9}))
+        code, out, err = run_cli(capsys, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: mcmc-budget ")
 
     def test_malformed_config_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"

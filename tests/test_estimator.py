@@ -28,12 +28,11 @@ from mcmc_budget.bounds import (
 from mcmc_budget.chains import (
     FiniteChain,
     InitialDistribution,
+    SingularFunction,
     _batch_states,
     _ReplicationStreams,
     finite_model,
     make_chain,
-    simulate_trajectory,
-    singular_f,
 )
 from mcmc_budget.estimator import (
     DEFAULT_CHUNK_ELEMENTS,
@@ -100,9 +99,9 @@ def reference_deviations(model, f, windows, replications, seed):
 class TestSampleMean:
     def test_long_run_stationary_frequency(self):
         model = two_state_model()
-        trajectory = simulate_trajectory(model.chain, model.nu, 20000,
-                                         seed=2024)
-        mean = F01[trajectory[100:]].mean()
+        trajectory = model.batch_values(F01, 20000,
+                                        _ReplicationStreams(2024, 0, 1))[0]
+        mean = trajectory[100:].mean()
         # autocorrelation-adjusted standard error: var ~ (2/gap) Var(f)/n
         se = math.sqrt((2 / 0.3) * (2 / 9) / 19900)
         assert abs(mean - 1 / 3) < 4 * se
@@ -167,7 +166,7 @@ class TestEstimateE1Windows:
 
     def test_bit_identical_for_metropolis_sampler(self):
         sampler = make_chain("indep-mh-2x")
-        f = singular_f(0.4)
+        f = SingularFunction(0.4)
         windows = [(2, 0), (5, 3), (1, 6)]
         shared = estimate_e1_windows(sampler, f, windows, replications=300,
                                      master_seed=7)
@@ -316,7 +315,7 @@ class TestEstimateE1:
 
     def test_iid_bound_dominance(self):
         sampler = make_chain("iid-uniform")
-        f = singular_f(0.6)
+        f = SingularFunction(0.6)
         est = estimate_e1(sampler, f, n=1000, n0=0, replications=2000,
                           master_seed=3)
         bound = uniform_error_bound(
@@ -510,6 +509,11 @@ class TestRateRegression:
     def test_rejects_nonpositive_error(self):
         with pytest.raises(DomainError):
             rate_regression([(10, 1.0), (100, 0.5), (1000, 0.0),
+                             (10000, 0.1)])
+
+    def test_rejects_nonpositive_size(self):
+        with pytest.raises(DomainError, match="sizes must be positive"):
+            rate_regression([(0, 1.0), (100, 0.5), (1000, 0.2),
                              (10000, 0.1)])
 
     def test_r_squared_range_with_noise(self):

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from mcmc_budget.chains import (InitialDistribution, finite_model,
-                                make_chain, singular_f)
+from mcmc_budget.chains import (InitialDistribution, SingularFunction,
+                                finite_model, make_chain)
 from mcmc_budget import validate
 from mcmc_budget.estimator import estimate_e1, exact_e1_small
 from mcmc_budget.exceptions import ChainValidationError, DomainError
@@ -157,6 +157,26 @@ class TestBoundDominanceSuite:
         assert np.array_equal(model.nu.nu, want.nu.nu)
         assert (model.chain, model.name) == (base.chain, base.name)
 
+    def test_a_chain_runs_one_eigendecomposition(self, monkeypatch):
+        # the constants are the chain's, computed once: not again for the
+        # constants suite, the restart or a model rebuilt on the same chain
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(matrix):
+            shapes.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        model = make_chain("lazy-cycle-7")
+        assert constants_suite(model).passed
+        restarted = _point_mass_rebind(model)
+        state = int(np.argmin(model.chain.stationary))
+        rebuilt = finite_model(
+            model.chain, InitialDistribution.point_mass(state, model.chain))
+        assert rebuilt.params == restarted.params
+        assert shapes == [(7, 7)]
+
 
 class TestRateSuite:
     def test_small_scale_passes(self):
@@ -208,7 +228,8 @@ class TestOnePassPerGrid:
         rows = [row for row in report.rows if row.n is not None]
         assert [row.n for row in rows] == [10, 100, 1000, 10000]
         for row in rows:
-            est = estimate_e1(make_chain("iid-uniform"), singular_f(0.65),
-                              row.n, 0, 53, 3, self.CHUNK)
+            est = estimate_e1(make_chain("iid-uniform"),
+                              SingularFunction(0.65), row.n, 0, 53, 3,
+                              self.CHUNK)
             assert (row.e1_hat, row.uncertainty) == \
                 (est.e1_hat, est.uncertainty)

@@ -23,6 +23,9 @@ buffers reused across rounds.  Longer rows are split into contiguous row
 slices, one per core the process may run on, and each slice is filled at
 the same time by its own worker thread's generator, re-keyed per row; a
 row depends only on its key, so the bytes do not depend on the core count.
+The estimator takes ``iid-uniform`` rows over the same slices, each core
+drawing, transforming and averaging its rows in a buffer of its own, so
+that no matrix of every row is built.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
@@ -243,24 +246,27 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _over_row_slices(work, rows: int) -> None:
-    """Run ``work(start, stop)`` on contiguous slices covering rows
+def _over_row_slices(work, rows: int, width: int = 0) -> None:
+    """Run ``work(start, stop, buffer)`` on contiguous slices covering rows
     ``0 .. rows-1``, one slice per core, all at the same time.
 
-    The calling thread runs the first slice and a new thread each of the
-    others; numpy releases the interpreter lock in the draws and the
-    integrand, so the slices run on separate cores.  ``work`` must write
+    ``buffer`` is a row of ``width`` values that only that slice uses,
+    allocated (by :func:`_empty_rows`) before any thread starts.  The
+    calling thread runs the first slice and a new thread each of the
+    others; numpy releases the interpreter lock in the draws, the integrand
+    and the sums, so the slices run on separate cores.  ``work`` must write
     only its own rows and read nothing another slice writes.  Once every
     slice has finished, the exception of the first slice that raised one
     is raised, so a caller never gets a partly filled matrix.
     """
     workers = max(1, min(_worker_count(), rows))
     bounds = [rows * k // workers for k in range(workers + 1)]
+    buffers = _empty_rows(workers, width)
     errors = [None] * workers
 
     def run(slice_no: int) -> None:
         try:
-            work(bounds[slice_no], bounds[slice_no + 1])
+            work(bounds[slice_no], bounds[slice_no + 1], buffers[slice_no])
         except BaseException as exc:   # raised in the calling thread below
             errors[slice_no] = exc
 
@@ -274,6 +280,25 @@ def _over_row_slices(work, rows: int) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _empty_rows(rows: int, width: int) -> np.ndarray:
+    """An uninitialised ``rows`` by ``width`` float matrix; raises
+    :class:`DomainError` when numpy cannot shape it."""
+    try:
+        return np.empty((rows, width))
+    except ValueError:   # more elements or bytes than an array can hold
+        raise DomainError(f"{width} draws per replication are more than "
+                          "an array can hold") from None
+
+
+def _philox_state(key) -> dict:
+    """The state of a fresh ``np.random.Philox(key=key)``: counter 0 and an
+    empty buffer, so that the next draws start the stream of ``key``."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
 
 class _ReplicationStreams:
@@ -293,29 +318,21 @@ class _ReplicationStreams:
         Up to :data:`_PHILOX_MAX_WIDTH` they come from the block function.
         Wider rows are filled over contiguous row slices, one per core, at
         the same time (:func:`_over_row_slices`): each slice's own generator
-        is re-keyed before each row to counter 0 with an empty buffer, the
-        state a fresh generator starts in.  A row depends only on its key,
-        so the bytes do not depend on the number of cores.  Raises
+        is re-keyed before each row to the state a fresh generator starts
+        in (:func:`_philox_state`).  A row depends only on its key, so the
+        bytes do not depend on the number of cores.  Raises
         :class:`DomainError` when numpy cannot shape the matrix.
         """
         if width <= _PHILOX_MAX_WIDTH:
             return _philox_uniforms(self.keys, width)
         keys = self.keys.tolist()
-        try:
-            draws = np.empty((len(keys), width))
-        except ValueError:   # more elements or bytes than an array can hold
-            raise DomainError(f"{width} draws per replication are more than "
-                              "an array can hold") from None
+        draws = _empty_rows(len(keys), width)
 
-        def fill(start: int, stop: int) -> None:
+        def fill(start: int, stop: int, _) -> None:
             bitgen = np.random.Philox(0)
             rng = np.random.Generator(bitgen)
             for key, row in zip(keys[start:stop], draws[start:stop]):
-                bitgen.state = {"bit_generator": "Philox",
-                                "state": {"counter": (0, 0, 0, 0),
-                                          "key": key},
-                                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                                "has_uint32": 0, "uinteger": 0}
+                bitgen.state = _philox_state(key)
                 rng.random(out=row)
 
         _over_row_slices(fill, len(keys))
@@ -841,11 +858,8 @@ class IidUniformSampler(_ContinuousSampler):
     def batch_values(self, f: SingularFunction, length: int,
                      streams) -> np.ndarray:
         # f of each stream's first `length` uniforms, written over them
-        # on every core's row slice at once
         draws = streams.uniforms(length)
-        _over_row_slices(lambda start, stop: f(draws[start:stop],
-                                               out=draws[start:stop]),
-                         len(draws))
+        f(draws, out=draws)
         return draws
 
 
@@ -932,7 +946,7 @@ class FiniteChainModel:
         f = np.asarray(f_values, dtype=float)
         states = _batch_states(self.chain, self.nu, streams.uniforms(length))
         if not (np.array_equal(f, np.round(f))
-                and np.abs(f).max() * length < 2.0**53):
+                and float(np.abs(f).max()) < 2.0**53 / length):
             return f[states]
         if np.array_equal(f, np.arange(f.size)):
             return states

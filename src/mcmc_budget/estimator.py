@@ -4,9 +4,11 @@ The estimand is e1 = E|S - mu| where S is the burn-in-discarded time
 average of f along the chain and mu the exact stationary expectation
 supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
-bit-identical however the work is chunked.  An integer-valued f on a finite
-chain is reduced from exact partial sums of its int64 walk, which gives the
-window means bit for bit without a float copy of the walk.
+bit-identical however the work is chunked or threaded.  Wide ``iid-uniform``
+rows are drawn, transformed and averaged a cache-sized block at a time on
+every core, with no chunk matrix.  An integer-valued f on a finite chain is
+reduced from exact partial sums of its int64 walk, which gives the window
+means bit for bit without a float copy of the walk.
 
 Because |S - mu| itself can have infinite variance in the heavy-tailed
 regimes under study, the spread of the estimate is reported as half the
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import _ReplicationStreams
+from .chains import (
+    _PHILOX_MAX_WIDTH,
+    IidUniformSampler,
+    _over_row_slices,
+    _philox_state,
+    _ReplicationStreams,
+    _stream_keys,
+)
 from .exceptions import DomainError
 
 __all__ = [
@@ -34,6 +43,11 @@ __all__ = [
 
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
+# replications whose stream keys the i.i.d. path derives at once, and the
+# values of its rows each core holds at once (1 MB, half a core's L2 cache
+# on the Xeon it was timed on), or one row if wider
+_KEY_BLOCK = 1024
+_CACHE_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -79,16 +93,18 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
 
     One walk of ``max(n + n0)`` steps per replication serves every window:
     a shorter trajectory is a prefix of a longer one on the same stream.
-    Chunks are of equal size, each within ``chunk_elements`` values, and
-    each is freed before the next is drawn (an uneven tail chunk raises
-    the allocator's mmap threshold and so the peak resident memory).
+    Rows of ``iid-uniform`` wider than the Philox block function serves
+    are drawn, transformed and reduced a cache-sized block at a time on
+    every core (:func:`_iid_deviations`), so no chunk matrix is built and
+    ``chunk_elements`` does not apply; narrower rows come faster from the
+    block function in one vectorised pass.  Other walks are drawn in
+    chunks of equal size, each within ``chunk_elements`` values, and each
+    is freed before the next is drawn (an uneven tail chunk raises the
+    allocator's mmap threshold and so the peak resident memory).
 
-    An integer walk (see ``FiniteChainModel.batch_values``) is summed in
-    place along each row, and a window's sum is the difference of two
-    partial sums at its boundary columns.  Every partial sum is an integer
-    below ``2**53``, exact in any order of addition, so ``sum / n`` is bit
-    for bit ``np.mean`` of the window, which is that sum divided by ``n``.
-    A float walk is reduced window by window with ``np.mean``.
+    An integer walk (see ``FiniteChainModel.batch_values``) is reduced by
+    :func:`_window_deviations`.  A float walk is reduced window by window
+    with ``np.mean``.
     """
     if not windows:
         raise DomainError("at least one window is required")
@@ -101,9 +117,12 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
         raise DomainError("at most 2**32 replications are supported")
     mu = model.expectation(f)
     length = max(n + n0 for n, n0 in windows)
+    deviations = np.empty((len(windows), replications))
+    if isinstance(model, IidUniformSampler) and length > _PHILOX_MAX_WIDTH:
+        _iid_deviations(f, windows, mu, length, master_seed, deviations)
+        return deviations
     rows_per_chunk = max(1, int(chunk_elements) // length)
     chunks = -(-replications // rows_per_chunk)
-    deviations = np.empty((len(windows), replications))
     for chunk in range(chunks):
         start = chunk * replications // chunks
         stop = (chunk + 1) * replications // chunks
@@ -120,18 +139,68 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     return deviations
 
 
+def _iid_deviations(f, windows, mu: float, length: int, master_seed: int,
+                    out: np.ndarray) -> None:
+    """Write ``|S - mu|`` of every window of ``iid-uniform`` into ``out``
+    (window by replication), a block of rows at a time.
+
+    The replications are split into one contiguous row slice per core
+    (``chains._over_row_slices``).  A slice derives its streams' keys
+    :data:`_KEY_BLOCK` replications at a time.  It fills its one buffer of
+    :data:`_CACHE_ELEMENTS` values (or one row, if wider) with whole rows,
+    re-keying its generator before each, applies ``f`` there and takes
+    every window's ``np.mean`` along the rows.  Each row is the one
+    ``IidUniformSampler.batch_values`` gives that replication, so the
+    bytes are those of the chunk path, whatever the core count.
+    """
+    rows = max(1, _CACHE_ELEMENTS // length)
+
+    def reduce(start: int, stop: int, buffer: np.ndarray) -> None:
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        keys = (key for first in range(start, stop, _KEY_BLOCK)
+                for key in _stream_keys(master_seed, first, min(
+                    first + _KEY_BLOCK, stop)).tolist())
+        buffer = buffer.reshape(rows, length)
+        for first in range(start, stop, rows):
+            block = buffer[:stop - first]
+            # the block first: zip then takes no key past its last row
+            for row, key in zip(block, keys):
+                bitgen.state = _philox_state(key)
+                rng.random(out=row)
+            f(block, out=block)
+            for k, (n, n0) in enumerate(windows):
+                out[k, first:first + len(block)] = np.abs(
+                    block[:, n0:n0 + n].mean(axis=1) - mu)
+
+    _over_row_slices(reduce, out.shape[1], rows * length)
+
+
 def _window_deviations(walk: np.ndarray, windows, mu: float,
                        out: np.ndarray) -> None:
     """Write ``|S - mu|`` of every window of an integer ``walk`` into
-    ``out`` (window by replication), overwriting ``walk`` by its partial
-    sums."""
-    np.cumsum(walk, axis=1, out=walk)
-    # row i of `sums` is the sum of the first bounds[i] columns
-    bounds = sorted({b for n, n0 in windows for b in (n0, n0 + n)})
-    row = {b: i for i, b in enumerate(bounds)}
-    sums = np.empty((len(bounds), walk.shape[0]))
-    for i, b in enumerate(bounds):
-        sums[i] = walk[:, b - 1] if b else 0.0
+    ``out`` (window by replication).
+
+    The walk's columns split into segments at every window boundary; one
+    ``np.add.reduceat`` sums each segment and a running sum over those few
+    columns gives every boundary's partial sum.  When every segment is one
+    column (the oracle's short walks), the walk is its own segment sums and
+    is summed in place instead.  Every partial sum is an integer below
+    ``2**53``, exact in any order of addition, so a window's sum, the
+    difference of the partial sums at its ends, divided by ``n`` is bit for
+    bit ``np.mean`` of the window.
+    """
+    edges = sorted({0, *(b for n, n0 in windows for b in (n0, n0 + n))})
+    if len(edges) > walk.shape[1]:
+        partial = np.cumsum(walk, axis=1, out=walk)
+    else:
+        partial = np.add.reduceat(walk, edges[:-1], axis=1)
+        np.cumsum(partial, axis=1, out=partial)
+    # row i of `sums` is the sum of the first edges[i] columns
+    sums = np.empty((len(edges), walk.shape[0]))
+    sums[0] = 0.0
+    sums[1:] = partial.T
+    row = {b: i for i, b in enumerate(edges)}
     for k, (n, n0) in enumerate(windows):
         window = out[k]
         np.subtract(sums[row[n0 + n]], sums[row[n0]], out=window)

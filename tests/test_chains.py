@@ -47,6 +47,7 @@ from mcmc_budget.chains import (
     _ReplicationStreams,
     _stream_keys,
 )
+from mcmc_budget.estimator import estimate_e1_windows
 from mcmc_budget.exceptions import (
     ChainValidationError,
     DivergenceError,
@@ -638,22 +639,24 @@ def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):
     caller = threading.get_ident()
     threads_before = threading.active_count()
 
-    def f(x, out=None):
-        if threading.get_ident() != caller:
-            raise ZeroDivisionError("slice failed")
-        return np.power(x, -0.5, out=out)
+    class FailsOffTheCaller(SingularFunction):
+        def __call__(self, x, out=None):
+            if threading.get_ident() != caller:
+                raise ZeroDivisionError("slice failed")
+            return super().__call__(x, out=out)
 
     returned = []
     with pytest.raises(ZeroDivisionError, match="slice failed"):
-        returned.append(IidUniformSampler().batch_values(
-            f, 100, _ReplicationStreams(7, 0, 7)))
+        # the i.i.d. estimator applies f on every slice's own thread
+        returned.append(estimate_e1_windows(
+            IidUniformSampler(), FailsOffTheCaller(0.5), [(100, 0)], 7, 7))
     assert returned == []
     assert threading.active_count() == threads_before
 
     # every slice finishes first, and the first slice that failed is raised
     finished = []
 
-    def work(start, stop):
+    def work(start, stop, buffer):
         if start:
             raise LookupError(f"rows {start}..{stop - 1}")
         finished.append((start, stop))
@@ -662,6 +665,22 @@ def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):
         _over_row_slices(work, 7)
     assert finished == [(0, 2)]
     assert threading.active_count() == threads_before
+
+
+def test_every_row_slice_gets_its_own_buffer(monkeypatch):
+    monkeypatch.setattr(chains, "_worker_count", lambda: 3)
+    seen = {}
+
+    def work(start, stop, buffer):
+        buffer[:] = start
+        seen[start] = (stop, buffer)
+
+    _over_row_slices(work, 7, 5)
+    assert sorted((start, stop) for start, (stop, _) in seen.items()) == \
+        [(0, 2), (2, 4), (4, 7)]
+    for start, (_, buffer) in seen.items():
+        assert buffer.shape == (5,)
+        assert (buffer == start).all()
 
 
 def _reference_states(chain, nu, length, master_seed, rows):

@@ -443,6 +443,16 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *argv, "--seed", "2024")
         assert (code, out, err) == (3 if stderr else 0, stdout, stderr)
 
+    def test_integer_values_near_the_float_limit_do_not_warn(self, capsys):
+        # max|f| times the walk length overflows a float, so the check for
+        # an exact integer walk compares max|f| with 2**53 / length instead
+        code, out, err = run_cli(capsys, "simulate", "--chain", "two-state",
+                                 "--n", "3", "--f", "1e308,0",
+                                 "--replications", "2")
+        assert (code, out, err) == (
+            0, "chain,n,n0,replications,e1_hat,uncertainty,bound_total,seed\n"
+            "two-state,3,0,2,6.66667e+307,0.00000e+00,inf,2024\n", "")
+
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--chain", "two-state", "--n", "2", "--f", "a,b"),
          "usage error: cannot parse value vector from 'a,b'\n"),

@@ -25,8 +25,10 @@ from mcmc_budget.bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
+from mcmc_budget import chains
 from mcmc_budget.chains import (
     FiniteChain,
+    IidUniformSampler,
     InitialDistribution,
     SingularFunction,
     _batch_states,
@@ -276,6 +278,67 @@ class TestIntegerWalks:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.25 * rows * (10000 + n0) * 8, name
+
+
+class TestIidRows:
+    """``iid-uniform`` rows are drawn, transformed and reduced a block at a
+    time on every core, with no chunk matrix; the bytes must be those of
+    ``np.mean`` over the rows of ``IidUniformSampler.batch_values``."""
+
+    F = SingularFunction(0.65)
+    RATE_WINDOWS = [(100, 0), (1000, 0), (10_000, 0), (100_000, 0)]
+
+    def reference(self, windows, replications, seed):
+        length = max(n + n0 for n, n0 in windows)
+        values = IidUniformSampler().batch_values(
+            self.F, length, _ReplicationStreams(seed, 0, replications))
+        mu = self.F.expectation()
+        return np.array([np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
+                         for n, n0 in windows])
+
+    # 1001 and 2501 rows split unevenly over 2 or 3 slices; blocks of 109
+    # rows at width 300 leave a short last block, rows of 10**5 fill a
+    # block each, and 2501 rows of 17 cross key blocks inside row blocks
+    @pytest.mark.parametrize("windows, replications", [
+        ([(5, 12), (100, 3), (300, 0)], 1001),
+        ([(1000, 2000), (30_000, 70_000)], 7),
+        ([(17, 0), (3, 14)], 2501),
+    ], ids=["blocks", "rows", "key-blocks"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_the_rows_of_batch_values(
+            self, monkeypatch, windows, replications, workers):
+        monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+        reference = self.reference(windows, replications, 29)
+        got = _deviations(IidUniformSampler(), self.F, windows, replications,
+                          29, DEFAULT_CHUNK_ELEMENTS)
+        assert got.tobytes() == reference.tobytes()
+        assert estimate_e1_windows(IidUniformSampler(), self.F, windows,
+                                   replications, 29) == \
+            _estimates(reference, windows)
+
+    def test_bytes_do_not_depend_on_cores_or_chunking(self, monkeypatch):
+        windows = [(20, 5), (300, 0), (2000, 1)]
+        outputs = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+            for chunk_elements in (1, 123457, DEFAULT_CHUNK_ELEMENTS):
+                outputs.add(_deviations(IidUniformSampler(), self.F, windows,
+                                        101, 1729, chunk_elements).tobytes())
+        assert len(outputs) == 1
+
+    def test_a_rate_run_holds_no_chunk_matrix(self, monkeypatch):
+        # a cap of 200 rows of 10**5 values lets the chunk path draw all
+        # 200 at once: a 160 MB matrix; the row path holds one per core
+        monkeypatch.setattr(chains, "_worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            estimate_e1_windows(IidUniformSampler(), self.F,
+                                self.RATE_WINDOWS, 200, 3,
+                                chunk_elements=200 * 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 200 * 100_000 * 8
 
 
 class TestEstimateE1:

@@ -13,19 +13,20 @@ variance is infinite, which no finite state space can produce.
 Randomness is counter-based (Philox) and derived per replication from a
 master seed, so every simulation is reproducible independently of execution
 order, chunking, or thread count.  Replication ``r`` of master seed ``s``
-draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  A chunk of
+draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  A block of
 replications is one :class:`_ReplicationStreams`, whose keys are derived in
 one vectorised pass that reproduces numpy's ``SeedSequence`` hash; every
-sampler is a function of its uniform matrix.  Short rows come from a numpy
-Philox block function, whose first round is in closed form (a block's
-counter has one nonzero word) and whose other nine rounds write into
-buffers reused across rounds.  Longer rows are split into contiguous row
-slices, one per core the process may run on, and each slice is filled at
-the same time by its own worker thread's generator, re-keyed per row; a
-row depends only on its key, so the bytes do not depend on the core count.
-The estimator takes ``iid-uniform`` rows over the same slices, each core
-drawing, transforming and averaging its rows in a buffer of its own, so
-that no matrix of every row is built.
+sampler is a function of its uniform matrix, and writes its values over
+that matrix in a buffer it is given.  Short rows come from a numpy Philox
+block function, whose first round is in closed form (a block's counter
+has one nonzero word) and whose other nine rounds write into buffers
+reused across rounds.  Longer rows are drawn one at a time by a generator
+re-keyed per row; a row depends only on its key.  Samplers fill their rows
+serially: the estimator splits the replications into contiguous row
+slices, one per core (:func:`_over_row_slices`), and each core draws,
+steps and reduces its rows a block at a time in a buffer of its own, so
+that no matrix of every row is built and the bytes do not depend on the
+core count.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
@@ -181,8 +182,10 @@ _PHILOX_SLICE = 4096
 _PHILOX_MAX_WIDTH = 16
 
 
-def _philox_uniforms(keys: np.ndarray, width: int) -> np.ndarray:
-    """``width`` uniforms per Philox key: row ``r`` is bit for bit
+def _philox_uniforms(keys: np.ndarray, width: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``width`` uniforms per Philox key, in ``out`` if given: row ``r``
+    is bit for bit
     ``np.random.Generator(np.random.Philox(key=keys[r])).random(width)``.
 
     Block ``b`` of a stream is the Philox4x64-10 image of the counter
@@ -200,7 +203,7 @@ def _philox_uniforms(keys: np.ndarray, width: int) -> np.ndarray:
     first = [_PHILOX_MULT_0 * (b + 1) for b in range(blocks)]
     first_high = np.array([p >> 64 for p in first], dtype=np.uint64)
     first_low = np.array([p & 2**64 - 1 for p in first], dtype=np.uint64)
-    draws = np.empty((len(keys), width))
+    draws = np.empty((len(keys), width)) if out is None else out
     for start in range(0, len(keys), _PHILOX_SLICE):
         key = keys[start:start + _PHILOX_SLICE].T[:, :, None].copy()
         rows = key.shape[1]
@@ -246,22 +249,26 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _over_row_slices(work, rows: int, width: int = 0) -> None:
+def _over_row_slices(work, rows: int, width: int = 0, block_rows: int = 1,
+                     threaded: bool = True) -> None:
     """Run ``work(start, stop, buffer)`` on contiguous slices covering rows
-    ``0 .. rows-1``, one slice per core, all at the same time.
+    ``0 .. rows-1``: one slice per core, all at the same time, or one slice
+    on the calling thread when not ``threaded``.
 
-    ``buffer`` is a row of ``width`` values that only that slice uses,
-    allocated (by :func:`_empty_rows`) before any thread starts.  The
-    calling thread runs the first slice and a new thread each of the
-    others; numpy releases the interpreter lock in the draws, the integrand
+    ``buffer`` is a flat array of ``block_rows`` rows (at most the largest
+    slice's rows) of ``width`` values that only that slice uses, allocated
+    (by :func:`_empty_rows`) before any thread starts.  The calling thread
+    runs the first slice and a new thread each of the others; numpy
+    releases the interpreter lock in the draws, the stepping, the integrand
     and the sums, so the slices run on separate cores.  ``work`` must write
     only its own rows and read nothing another slice writes.  Once every
     slice has finished, the exception of the first slice that raised one
     is raised, so a caller never gets a partly filled matrix.
     """
-    workers = max(1, min(_worker_count(), rows))
+    workers = max(1, min(_worker_count(), rows)) if threaded else 1
     bounds = [rows * k // workers for k in range(workers + 1)]
-    buffers = _empty_rows(workers, width)
+    held = min(block_rows, -(-rows // workers))
+    buffers = _empty_rows(workers * held, width).reshape(workers, held * width)
     errors = [None] * workers
 
     def run(slice_no: int) -> None:
@@ -304,38 +311,43 @@ def _philox_state(key) -> dict:
 class _ReplicationStreams:
     """The streams of replications ``start .. stop-1``, in order; samplers
     draw only through :meth:`uniforms`.  ``keys`` holds the streams'
-    Philox keys, one row each."""
+    Philox keys, one row each.  One generator, re-keyed per row, serves
+    the streams and every part taken from them, so they are for one thread
+    at a time."""
 
     def __init__(self, master_seed: int, start: int, stop: int):
         self.keys = _stream_keys(master_seed, start, stop)
+        self._rng = np.random.Generator(np.random.Philox(0))
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def uniforms(self, width: int) -> np.ndarray:
-        """The first ``width`` uniforms of every stream, one row each.
+    def __getitem__(self, rows: slice) -> "_ReplicationStreams":
+        """The streams of ``rows``, without deriving their keys again."""
+        part = object.__new__(_ReplicationStreams)
+        part.keys, part._rng = self.keys[rows], self._rng
+        return part
+
+    def uniforms(self, width: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """The first ``width`` uniforms of every stream, one row each, in
+        the C-contiguous matrix ``out`` if given.
 
         Up to :data:`_PHILOX_MAX_WIDTH` they come from the block function.
-        Wider rows are filled over contiguous row slices, one per core, at
-        the same time (:func:`_over_row_slices`): each slice's own generator
-        is re-keyed before each row to the state a fresh generator starts
-        in (:func:`_philox_state`).  A row depends only on its key, so the
-        bytes do not depend on the number of cores.  Raises
-        :class:`DomainError` when numpy cannot shape the matrix.
+        Wider rows are drawn one at a time by the generator, re-keyed
+        before each row to the state a fresh generator starts in
+        (:func:`_philox_state`).  A row depends only on its key, so the
+        bytes do not depend on how the streams are grouped.  Without
+        ``out``, raises :class:`DomainError` when numpy cannot shape the
+        matrix.
         """
         if width <= _PHILOX_MAX_WIDTH:
-            return _philox_uniforms(self.keys, width)
-        keys = self.keys.tolist()
-        draws = _empty_rows(len(keys), width)
-
-        def fill(start: int, stop: int, _) -> None:
-            bitgen = np.random.Philox(0)
-            rng = np.random.Generator(bitgen)
-            for key, row in zip(keys[start:stop], draws[start:stop]):
-                bitgen.state = _philox_state(key)
-                rng.random(out=row)
-
-        _over_row_slices(fill, len(keys))
+            return _philox_uniforms(self.keys, width, out)
+        draws = _empty_rows(len(self), width) if out is None else out
+        bitgen = self._rng.bit_generator
+        for key, row in zip(self.keys.tolist(), draws):
+            bitgen.state = _philox_state(key)
+            self._rng.random(out=row)
         return draws
 
 
@@ -434,6 +446,26 @@ class FiniteChain:
         return 1.0 - slem
 
     @cached_property
+    def _tv_scan(self) -> tuple[list, object]:
+        """The worst-start distances read so far, and the
+        :func:`_worst_start_tv` generator of the rest of the horizon."""
+        return [], _worst_start_tv(self.transition, self.stationary,
+                                   _TV_HORIZON)
+
+    def _worst_start_tvs(self):
+        """Yield ``max_x TV(P^n(x, .), pi)`` for ``n = 1 .. 200``.
+
+        Each matrix power is computed once per chain, on first read, and
+        its distance kept: :attr:`_decay` reads as far as its ratio scan
+        goes, and the constants suite reads the whole horizon.
+        """
+        seen, rest = self._tv_scan
+        yield from seen
+        for tv in rest:
+            seen.append(tv)
+            yield tv
+
+    @cached_property
     def _decay(self) -> tuple[float, float]:
         """:func:`uniform_ergodicity_constants`, computed on first use from
         :attr:`_gap` and kept."""
@@ -445,7 +477,7 @@ class FiniteChain:
                 "chain is periodic or reducible (an eigenvalue has modulus 1)")
         alpha_pow = 1.0
         big_m = 0.0
-        for tv in _worst_start_tv(self, _TV_HORIZON):
+        for tv in self._worst_start_tvs():
             alpha_pow *= alpha
             if alpha_pow == 0.0 or tv <= TV_RESOLUTION:
                 break
@@ -648,13 +680,19 @@ def uniform_ergodicity_constants(chain: FiniteChain) -> tuple[float, float]:
     return chain._decay
 
 
-def _worst_start_tv(chain: FiniteChain, horizon: int):
-    """Yield ``max_x TV(P^n(x, .), pi)`` for ``n = 1 .. horizon``."""
-    pi = chain.stationary
-    power = np.eye(chain.size)
+def _worst_start_tv(transition: np.ndarray, stationary: np.ndarray,
+                    horizon: int):
+    """Yield ``max_x TV(P^n(x, .), pi)`` for ``n = 1 .. horizon``.
+
+    It takes the chain's arrays, not the chain: a chain keeps this
+    generator (:attr:`FiniteChain._tv_scan`), and a generator holding the
+    chain would make a reference cycle that keeps the chain and its path
+    table alive until the cyclic garbage collector runs.
+    """
+    power = np.eye(len(transition))
     for _ in range(horizon):
-        power = power @ chain.transition
-        yield 0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()
+        power = power @ transition
+        yield 0.5 * np.abs(power - stationary[None, :]).sum(axis=1).max()
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +882,10 @@ class _ContinuousSampler:
     def lp_norm(self, f: SingularFunction, p: float) -> float:
         return f.lp_norm(p, self.target)
 
+    def uniform_width(self, length: int) -> int:
+        """Uniforms a replication of ``length`` values draws."""
+        return length
+
 
 class IidUniformSampler(_ContinuousSampler):
     """Independent uniform draws, viewed as a chain with gap 1."""
@@ -855,10 +897,10 @@ class IidUniformSampler(_ContinuousSampler):
         self.params = ChainParams(gap=1.0, alpha=0.0, big_m=1.0, dratio=0.0,
                                   reversible=True)
 
-    def batch_values(self, f: SingularFunction, length: int,
-                     streams) -> np.ndarray:
+    def batch_values(self, f: SingularFunction, length: int, streams,
+                     out: np.ndarray | None = None) -> np.ndarray:
         # f of each stream's first `length` uniforms, written over them
-        draws = streams.uniforms(length)
+        draws = streams.uniforms(length, out)
         f(draws, out=draws)
         return draws
 
@@ -880,12 +922,19 @@ class IndepMHSampler(_ContinuousSampler):
         self.params = ChainParams(gap=inv_beta, alpha=1.0 - inv_beta,
                                   big_m=1.0, dratio=0.0, reversible=True)
 
-    def batch_values(self, f, length: int, streams) -> np.ndarray:
+    def uniform_width(self, length: int) -> int:
+        return 2 * length - 1
+
+    def batch_values(self, f, length: int, streams,
+                     out: np.ndarray | None = None) -> np.ndarray:
         # a row's own uniforms: one initial inverse-CDF draw, then a
-        # (proposal, acceptance) pair per step, keeping batching irrelevant
-        draws = streams.uniforms(2 * length - 1)
+        # (proposal, acceptance) pair per step, keeping batching irrelevant.
+        # In `out`, step t's value is written over draw t, which the block
+        # of step t's pair, or an earlier one, has already copied
+        draws = streams.uniforms(2 * length - 1, out)
         x = self.target.inverse_cdf(draws[:, 0])
-        values = np.empty((draws.shape[0], length))
+        values = np.empty((len(draws), length)) if out is None \
+            else draws[:, :length]
         values[:, 0] = f(x)
         for start, block in _time_major_blocks(draws, 1):
             stepped = np.empty((len(block) // 2, block.shape[1]))
@@ -935,23 +984,30 @@ class FiniteChainModel:
                                  @ (f / scale)**p) ** (1.0 / p)
         return norm
 
-    def batch_values(self, f_values, length: int, streams) -> np.ndarray:
-        """``f`` along each replication's walk, one row per stream.
+    def uniform_width(self, length: int) -> int:
+        """Uniforms a replication of ``length`` values draws."""
+        return length
+
+    def batch_values(self, f_values, length: int, streams,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``f`` along each replication's walk, one row per stream,
+        written over the walk's uniforms (in ``out`` if given).
 
         An integer-valued ``f`` whose walk sums stay below ``2**53`` in
-        magnitude gives an int64 matrix, written over the states (which are
-        the walk itself when ``f`` is ``arange(S)``), so its partial sums
-        are exact; any other ``f`` gives the float matrix ``f[states]``.
+        magnitude gives an int64 matrix (the states themselves when ``f``
+        is ``arange(S)``), so its partial sums are exact; any other ``f``
+        gives the float matrix ``f[states]``.
         """
         f = np.asarray(f_values, dtype=float)
-        states = _batch_states(self.chain, self.nu, streams.uniforms(length))
-        if not (np.array_equal(f, np.round(f))
-                and float(np.abs(f).max()) < 2.0**53 / length):
-            return f[states]
-        if np.array_equal(f, np.arange(f.size)):
-            return states
+        states = _batch_states(self.chain, self.nu,
+                               streams.uniforms(length, out))
         # states are in range; the default mode="raise" would write through
         # a buffered copy of `out`, a second matrix
+        if not (np.array_equal(f, np.round(f))
+                and float(np.abs(f).max()) < 2.0**53 / length):
+            return f.take(states, out=states.view(np.float64), mode="clip")
+        if np.array_equal(f, np.arange(f.size)):
+            return states
         return f.astype(np.int64).take(states, out=states, mode="clip")
 
 

@@ -4,11 +4,11 @@ The estimand is e1 = E|S - mu| where S is the burn-in-discarded time
 average of f along the chain and mu the exact stationary expectation
 supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
-bit-identical however the work is chunked or threaded.  Wide ``iid-uniform``
-rows are drawn, transformed and averaged a cache-sized block at a time on
-every core, with no chunk matrix.  An integer-valued f on a finite chain is
-reduced from exact partial sums of its int64 walk, which gives the window
-means bit for bit without a float copy of the walk.
+bit-identical however the work is chunked or threaded.  Every model's rows
+are drawn, stepped and reduced a block at a time on every core, in one
+buffer per core, with no matrix of every walk.  An integer-valued f on a
+finite chain is reduced from exact partial sums of its int64 walk, which
+gives the window means bit for bit without a float copy of the walk.
 
 Because |S - mu| itself can have infinite variance in the heavy-tailed
 regimes under study, the spread of the estimate is reported as half the
@@ -25,11 +25,9 @@ from .chains import (
     _PHILOX_MAX_WIDTH,
     IidUniformSampler,
     _over_row_slices,
-    _philox_state,
     _ReplicationStreams,
-    _stream_keys,
 )
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalError
 
 __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
@@ -43,11 +41,21 @@ __all__ = [
 
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
-# replications whose stream keys the i.i.d. path derives at once, and the
-# values of its rows each core holds at once (1 MB, half a core's L2 cache
-# on the Xeon it was timed on), or one row if wider
+# the uniforms of a block of rows each core holds at once.  A walk pays its
+# interpreted stepping loop once per block, so it takes 2**21 (16 MB; 2**20
+# held less but ran slower); i.i.d. rows only draw and transform, and keep
+# theirs in cache (1 MB, half a core's L2 cache on the Xeon it was timed on)
+_WALK_BLOCK = 2**21
+_DRAW_BLOCK = 2**17
+# a walk's stepping loop makes one interpreted numpy call per step over a
+# block's rows, holding the interpreter lock; on blocks of fewer rows than
+# this the calls cost more than the work they start, so threads only
+# contend and such a walk runs on one thread (two-state, 1000 walks of
+# 10004 steps in 12-row blocks: 344 ms on one thread, 560 ms on two)
+_THREADED_WALK_ROWS = 128
+# replications whose stream keys a slice derives at once: a derivation
+# costs ~0.1 ms however few keys it gives
 _KEY_BLOCK = 1024
-_CACHE_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -93,18 +101,25 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
 
     One walk of ``max(n + n0)`` steps per replication serves every window:
     a shorter trajectory is a prefix of a longer one on the same stream.
-    Rows of ``iid-uniform`` wider than the Philox block function serves
-    are drawn, transformed and reduced a cache-sized block at a time on
-    every core (:func:`_iid_deviations`), so no chunk matrix is built and
-    ``chunk_elements`` does not apply; narrower rows come faster from the
-    block function in one vectorised pass.  Other walks are drawn in
-    chunks of equal size, each within ``chunk_elements`` values, and each
-    is freed before the next is drawn (an uneven tail chunk raises the
-    allocator's mmap threshold and so the peak resident memory).
+    The replications are split into one contiguous row slice per core
+    (``chains._over_row_slices``), each with one buffer of its own.  A
+    slice derives its streams' keys at least :data:`_KEY_BLOCK` rows at a
+    time, and for each block of rows has the model draw, step and
+    transform the block in its buffer (``batch_values``), then reduces
+    every window into the block's own columns.  A block holds at most
+    ``chunk_elements`` uniforms, and at most :data:`_WALK_BLOCK` on a walk
+    or :data:`_DRAW_BLOCK` on ``iid-uniform``, or one row if wider.  Two
+    cases take one slice, on the calling thread: rows of at most
+    :data:`~mcmc_budget.chains._PHILOX_MAX_WIDTH` uniforms (the oracle's),
+    where the Philox block function draws a whole block in one vectorised
+    pass, and walks in blocks of fewer than :data:`_THREADED_WALK_ROWS`
+    rows.  A row depends only on its stream, so the bytes do not depend on
+    the core count or the block size.
 
     An integer walk (see ``FiniteChainModel.batch_values``) is reduced by
     :func:`_window_deviations`.  A float walk is reduced window by window
-    with ``np.mean``.
+    with ``np.mean``; a sum that overflows gives an infinite deviation,
+    which :func:`_estimates` refuses.
     """
     if not windows:
         raise DomainError("at least one window is required")
@@ -117,63 +132,42 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
         raise DomainError("at most 2**32 replications are supported")
     mu = model.expectation(f)
     length = max(n + n0 for n, n0 in windows)
+    width = model.uniform_width(length)
     deviations = np.empty((len(windows), replications))
-    if isinstance(model, IidUniformSampler) and length > _PHILOX_MAX_WIDTH:
-        _iid_deviations(f, windows, mu, length, master_seed, deviations)
-        return deviations
-    rows_per_chunk = max(1, int(chunk_elements) // length)
-    chunks = -(-replications // rows_per_chunk)
-    for chunk in range(chunks):
-        start = chunk * replications // chunks
-        stop = (chunk + 1) * replications // chunks
-        values = model.batch_values(
-            f, length, _ReplicationStreams(master_seed, start, stop))
-        if values.dtype.kind == "f":
-            for k, (n, n0) in enumerate(windows):
-                deviations[k, start:stop] = np.abs(
-                    values[:, n0:n0 + n].mean(axis=1) - mu)
-        else:
-            _window_deviations(values, windows, mu,
-                               deviations[:, start:stop])
-        del values
-    return deviations
-
-
-def _iid_deviations(f, windows, mu: float, length: int, master_seed: int,
-                    out: np.ndarray) -> None:
-    """Write ``|S - mu|`` of every window of ``iid-uniform`` into ``out``
-    (window by replication), a block of rows at a time.
-
-    The replications are split into one contiguous row slice per core
-    (``chains._over_row_slices``).  A slice derives its streams' keys
-    :data:`_KEY_BLOCK` replications at a time.  It fills its one buffer of
-    :data:`_CACHE_ELEMENTS` values (or one row, if wider) with whole rows,
-    re-keying its generator before each, applies ``f`` there and takes
-    every window's ``np.mean`` along the rows.  Each row is the one
-    ``IidUniformSampler.batch_values`` gives that replication, so the
-    bytes are those of the chunk path, whatever the core count.
-    """
-    rows = max(1, _CACHE_ELEMENTS // length)
+    iid = isinstance(model, IidUniformSampler)
+    block = int(chunk_elements)
+    if width > _PHILOX_MAX_WIDTH:
+        block = min(block, _DRAW_BLOCK if iid else _WALK_BLOCK)
+    rows = max(1, block // width)
+    threaded = width > _PHILOX_MAX_WIDTH and (
+        iid or rows >= _THREADED_WALK_ROWS)
+    key_rows = rows * -(-_KEY_BLOCK // rows)
 
     def reduce(start: int, stop: int, buffer: np.ndarray) -> None:
-        bitgen = np.random.Philox(0)
-        rng = np.random.Generator(bitgen)
-        keys = (key for first in range(start, stop, _KEY_BLOCK)
-                for key in _stream_keys(master_seed, first, min(
-                    first + _KEY_BLOCK, stop)).tolist())
-        buffer = buffer.reshape(rows, length)
-        for first in range(start, stop, rows):
-            block = buffer[:stop - first]
-            # the block first: zip then takes no key past its last row
-            for row, key in zip(block, keys):
-                bitgen.state = _philox_state(key)
-                rng.random(out=row)
-            f(block, out=block)
-            for k, (n, n0) in enumerate(windows):
-                out[k, first:first + len(block)] = np.abs(
-                    block[:, n0:n0 + n].mean(axis=1) - mu)
+        for first in range(start, stop, key_rows):
+            streams = _ReplicationStreams(master_seed, first,
+                                          min(first + key_rows, stop))
+            for offset in range(0, len(streams), rows):
+                part = streams[offset:offset + rows]
+                values = model.batch_values(
+                    f, length, part,
+                    out=buffer[:len(part) * width].reshape(len(part), width))
+                out = deviations[:, first + offset:first + offset + len(part)]
+                if values.dtype.kind != "f":
+                    _window_deviations(values, windows, mu, out)
+                    continue
+                for k, (n, n0) in enumerate(windows):
+                    out[k] = np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
 
-    _over_row_slices(reduce, out.shape[1], rows * length)
+    def reduce_slice(start: int, stop: int, buffer: np.ndarray) -> None:
+        # numpy's error state is per thread, so each slice sets its own: a
+        # window sum that overflows is an infinite deviation, which
+        # _estimates refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduce(start, stop, buffer)
+
+    _over_row_slices(reduce_slice, replications, width, rows, threaded)
+    return deviations
 
 
 def _window_deviations(walk: np.ndarray, windows, mu: float,
@@ -217,19 +211,26 @@ def _estimates(deviations: np.ndarray, windows) -> list:
     ``np.array_split`` splits: the first ``replications % blocks`` blocks
     hold one replication more.  The block means and quartiles of every
     window are taken in one pass each; a row's figures are bit for bit
-    those of that row on its own.
+    those of that row on its own.  A mean that is not finite raises
+    :class:`NumericalError`.
     """
     replications = deviations.shape[1]
     blocks = min(_UNCERTAINTY_BLOCKS, replications)
     size, longer = divmod(replications, blocks)
     split = longer * (size + 1)
-    means = np.concatenate([
-        deviations[:, :split].reshape(len(deviations), longer, size + 1)
-        .mean(axis=2),
-        deviations[:, split:].reshape(len(deviations), blocks - longer, size)
-        .mean(axis=2)], axis=1)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        means = np.concatenate([
+            deviations[:, :split].reshape(len(deviations), longer, size + 1)
+            .mean(axis=2),
+            deviations[:, split:].reshape(len(deviations), blocks - longer,
+                                          size).mean(axis=2)], axis=1)
+        e1_hat = deviations.mean(axis=1)
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(e1_hat)
+    if not finite.all():
+        n, n0 = windows[int(np.argmin(finite))]
+        raise NumericalError(f"the mean error of window n={n}, n0={n0} is "
+                             "not finite: the values of f overflow float64")
     q1, q3 = np.percentile(means, [25.0, 75.0], axis=1)
-    e1_hat = deviations.mean(axis=1)
     return [ErrorEstimate(e1_hat=float(e1_hat[k]),
                           uncertainty=0.5 * float(q3[k] - q1[k]),
                           replications=replications, n=n, n0=n0)

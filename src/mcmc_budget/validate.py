@@ -32,7 +32,6 @@ from .chains import (
     InitialDistribution,
     SingularFunction,
     _TV_HORIZON,
-    _worst_start_tv,
     load_chain,
     make_chain,
 )
@@ -291,8 +290,7 @@ def constants_suite(chain="two-state",
     params = model.params
     certified = all(
         tv <= max(params.alpha**n * params.big_m * (1 + 1e-9), TV_RESOLUTION)
-        for n, tv in enumerate(_worst_start_tv(model.chain, _TV_HORIZON),
-                               start=1))
+        for n, tv in enumerate(model.chain._worst_start_tvs(), start=1))
     kernel = np.asarray(model.chain.transition)
     pi = np.asarray(model.chain.stationary)
     balanced = True

@@ -932,6 +932,23 @@ def test_path_tables_are_built_once_on_first_use_and_freed(monkeypatch):
     assert chain() is None and paths() is None
 
 
+# two-state's ratio scan leaves its TV scan part-read, lazy-cycle-50's reads
+# it to the end; either way the chain keeps the scan's generator, which
+# must not refer back to the chain
+@pytest.mark.parametrize("name", ["two-state", "lazy-cycle-50"])
+def test_a_chain_is_freed_without_the_cycle_collector(name):
+    model = make_chain(name)
+    model.batch_values(np.arange(float(model.chain.size)), 500,
+                       _ReplicationStreams(5, 0, 4))
+    chain = weakref.ref(model.chain)
+    gc.disable()
+    try:
+        del model
+        assert chain() is None
+    finally:
+        gc.enable()
+
+
 def test_indep_mh_values_do_not_depend_on_chunking():
     s = make_chain("indep-mh-2x")
     f = SingularFunction(0.65)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,19 @@ class TestSimulate:
         assert (code, out, err) == (
             0, "chain,n,n0,replications,e1_hat,uncertainty,bound_total,seed\n"
             "two-state,3,0,2,6.66667e+307,0.00000e+00,inf,2024\n", "")
+
+    def test_overflowing_estimate_is_exit_3(self, capsys):
+        # window sums of 1e308-sized values overflow to inf; the estimate
+        # is refused before its quartiles would subtract inf from inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--chain",
+                                     "two-state", "--n", "5",
+                                     "--f=1e308,1.5e308", "--replications",
+                                     "4", "--seed", "1")
+        assert (code, out, err) == (
+            3, "", "error: the mean error of window n=5, n0=0 is not "
+            "finite: the values of f overflow float64\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--chain", "two-state", "--n", "2", "--f", "a,b"),

@@ -9,6 +9,8 @@ every value here is reproducible bit for bit regardless of chunking.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -339,6 +341,91 @@ class TestIidRows:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * 200 * 100_000 * 8
+
+
+class TestRowBlocks:
+    """Every model's rows are drawn, stepped and reduced a block at a time
+    on every core, with no walk matrix; the bytes must be those of the
+    rows of one ``batch_values`` over every replication."""
+
+    # 101 and 2501 rows split unevenly over 2 or 3 slices; at a cap of
+    # 123457 uniforms a block leaves a short last block, a cap of 1 gives
+    # one-row blocks, and 2501 one-row blocks cross key blocks
+    CASES = {
+        "two-state-int": ("two-state", F01, [(10, 0), (3000, 4)], 101),
+        "two-state-float": ("two-state", np.array([0.0, 0.5]),
+                            [(10, 0), (3000, 4)], 101),
+        "two-state-key-blocks": ("two-state", F01, [(17, 0), (3, 14)], 2501),
+        "two-state-narrow": ("two-state", F01, [(8, 0), (1, 7)], 1001),
+        "lazy-cycle-50": ("lazy-cycle-50", np.arange(50.0),
+                          [(10, 1149), (2000, 1149)], 101),
+        "indep-mh-2x": ("indep-mh-2x", SingularFunction(0.5),
+                        [(5, 3), (300, 0)], 103),
+    }
+
+    def reference(self, model, f, windows, replications, seed):
+        if not hasattr(model, "chain"):
+            length = max(n + n0 for n, n0 in windows)
+            values = model.batch_values(
+                f, length, _ReplicationStreams(seed, 0, replications))
+            mu = model.expectation(f)
+            return np.array([np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
+                             for n, n0 in windows])
+        return reference_deviations(model, f, windows, replications, seed)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_do_not_depend_on_cores_or_chunking(self, monkeypatch,
+                                                      case):
+        name, f, windows, replications = self.CASES[case]
+        model = make_chain(name)
+        want = self.reference(model, f, windows, replications, 31).tobytes()
+        # more workers than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+                for chunk_elements in (1, 123457, DEFAULT_CHUNK_ELEMENTS):
+                    got = _deviations(model, f, windows, replications, 31,
+                                      chunk_elements)
+                    assert got.tobytes() == want, (workers, chunk_elements)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_dominance_run_holds_no_walk_matrix(self, monkeypatch):
+        # a cap of 10**7 uniforms lets the parent's chunk loop draw all
+        # 1000 walks of 10004 steps at once, an 80 MB matrix; each of the
+        # two cores here holds one block of at most 2**21 uniforms
+        monkeypatch.setattr(chains, "_worker_count", lambda: 2)
+        model = make_chain("two-state")
+        windows = [(n, 4) for n in (10, 100, 1000, 10_000)]
+        tracemalloc.start()
+        try:
+            estimate_e1_windows(model, F01, windows, 1000, 3,
+                                chunk_elements=10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 1000 * 10_004 * 8
+
+    def test_a_failing_walk_slice_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(chains, "_worker_count", lambda: 3)
+        caller = threading.get_ident()
+        threads_before = threading.active_count()
+        table_steps = chains._table_steps
+
+        def fails_off_the_caller(*args):
+            if threading.get_ident() != caller:
+                raise ZeroDivisionError("slice failed")
+            table_steps(*args)
+
+        monkeypatch.setattr(chains, "_table_steps", fails_off_the_caller)
+        returned = []
+        with pytest.raises(ZeroDivisionError, match="slice failed"):
+            returned.append(estimate_e1_windows(
+                make_chain("two-state"), F01, [(1000, 0)], 7, 7))
+        assert returned == []
+        assert threading.active_count() == threads_before
 
 
 class TestEstimateE1:

@@ -13,7 +13,7 @@ import pytest
 
 from mcmc_budget.chains import (InitialDistribution, SingularFunction,
                                 finite_model, make_chain)
-from mcmc_budget import validate
+from mcmc_budget import chains, validate
 from mcmc_budget.estimator import estimate_e1, exact_e1_small
 from mcmc_budget.exceptions import ChainValidationError, DomainError
 from mcmc_budget.validate import (
@@ -66,6 +66,24 @@ class TestConstantsSuite:
     def test_rejects_continuous(self):
         with pytest.raises(DomainError, match="finite"):
             constants_suite(chain="iid-uniform")
+
+    # two-state's ratio scan stops at a distance below the resolution floor,
+    # lazy-cycle-50's runs the whole horizon; the certification reads on
+    @pytest.mark.parametrize("chain", ["two-state", "lazy-cycle-50"])
+    def test_one_tv_scan_per_suite(self, monkeypatch, chain):
+        scans = []
+        scan = chains._worst_start_tv
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(chains, "_worst_start_tv", counted)
+        assert constants_suite(chain).passed
+        assert len(scans) == 1
+        kept = make_chain(chain).chain
+        assert list(kept._worst_start_tvs()) == list(
+            scan(kept.transition, kept.stationary, chains._TV_HORIZON))
 
 
 class TestOracleSuite:

@@ -34,7 +34,11 @@ the same states.  That count depends on the draw only through its rank
 among the chain's distinct CDF values below 1.0, so a long walk packs
 several consecutive ranks into one code and looks up the states of those
 steps in a per-chain table of every path, built on first use: the same
-states, several steps per interpreted iteration.
+states, several steps per interpreted iteration.  Such a walk is held as
+integers, one byte a step on chains of at most 256 states and two up to
+the 1000-state limit: its uniforms are drawn a few rows at a time into a
+small float buffer, each row becomes draw ranks at once, and the states
+are written over the ranks (:meth:`FiniteChainModel.batch_values`).
 """
 from __future__ import annotations
 
@@ -81,9 +85,9 @@ _BALANCE_TOL = 1e-10
 # columns of draws per time-major block; even, so that a block holds whole
 # (proposal, acceptance) pairs of the independence sampler
 _STEP_BLOCK = 256
-# entries a chain's path table may hold (1 MB of int64 states), and the
-# walk length in columns above which a walk steps through it: shorter walks
-# (the 8-step oracle windows) step faster by the level-table loop
+# entries a chain's path table may hold (128 KB of one-byte states), and
+# the walk length in columns above which a walk steps through it: shorter
+# walks (the 8-step oracle windows) step faster by the level-table loop
 _PATH_TABLE_ENTRIES = 2**17
 _PATH_MIN_COLUMNS = 64
 
@@ -250,30 +254,37 @@ def _worker_count() -> int:
 
 
 def _over_row_slices(work, rows: int, width: int = 0, block_rows: int = 1,
-                     threaded: bool = True) -> None:
+                     threaded: bool = True, dtype=np.float64,
+                     draw_rows: int = 0) -> None:
     """Run ``work(start, stop, buffer)`` on contiguous slices covering rows
     ``0 .. rows-1``: one slice per core, all at the same time, or one slice
     on the calling thread when not ``threaded``.
 
     ``buffer`` is a flat array of ``block_rows`` rows (at most the largest
-    slice's rows) of ``width`` values that only that slice uses, allocated
-    (by :func:`_empty_rows`) before any thread starts.  The calling thread
-    runs the first slice and a new thread each of the others; numpy
-    releases the interpreter lock in the draws, the stepping, the integrand
-    and the sums, so the slices run on separate cores.  ``work`` must write
-    only its own rows and read nothing another slice writes.  Once every
-    slice has finished, the exception of the first slice that raised one
-    is raised, so a caller never gets a partly filled matrix.
+    slice's rows) of ``width`` values of ``dtype`` that only that slice
+    uses.  With ``draw_rows``, ``work`` also gets a float buffer of that
+    many rows (at most ``block_rows``) as a fourth argument.  Both are
+    allocated (by :func:`_empty_rows`, the float one first) before any
+    thread starts.  The calling thread runs the first slice and a new
+    thread each of the others; numpy releases the interpreter lock in the
+    draws, the stepping, the integrand and the sums, so the slices run on
+    separate cores.  ``work`` must write only its own rows and read
+    nothing another slice writes.  Once every slice has finished, the
+    exception of the first slice that raised one is raised, so a caller
+    never gets a partly filled matrix.
     """
     workers = max(1, min(_worker_count(), rows)) if threaded else 1
     bounds = [rows * k // workers for k in range(workers + 1)]
     held = min(block_rows, -(-rows // workers))
-    buffers = _empty_rows(workers * held, width).reshape(workers, held * width)
+    drawn = min(draw_rows, held)
+    draws = _empty_rows(workers * drawn, width).reshape(workers, -1)
+    buffers = _empty_rows(workers * held, width, dtype).reshape(workers, -1)
     errors = [None] * workers
 
     def run(slice_no: int) -> None:
         try:
-            work(bounds[slice_no], bounds[slice_no + 1], buffers[slice_no])
+            work(bounds[slice_no], bounds[slice_no + 1], buffers[slice_no],
+                 *([draws[slice_no]] if drawn else []))
         except BaseException as exc:   # raised in the calling thread below
             errors[slice_no] = exc
 
@@ -289,11 +300,11 @@ def _over_row_slices(work, rows: int, width: int = 0, block_rows: int = 1,
             raise exc
 
 
-def _empty_rows(rows: int, width: int) -> np.ndarray:
-    """An uninitialised ``rows`` by ``width`` float matrix; raises
+def _empty_rows(rows: int, width: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialised ``rows`` by ``width`` matrix of ``dtype``; raises
     :class:`DomainError` when numpy cannot shape it."""
     try:
-        return np.empty((rows, width))
+        return np.empty((rows, width), dtype=dtype)
     except ValueError:   # more elements or bytes than an array can hold
         raise DomainError(f"{width} draws per replication are more than "
                           "an array can hold") from None
@@ -561,6 +572,8 @@ class _PathTable:
     Row ``x * radix**steps + code`` of ``paths`` holds the states after each
     of those steps from state ``x``; the same entry of ``ends`` is the last
     of them times ``radix**steps``, the row offset of the next steps.
+    ``paths`` holds one byte a state on chains of at most 256 states and
+    two up to the 1000-state limit: the dtype of the walks it steps.
     """
 
     levels: np.ndarray
@@ -599,11 +612,12 @@ def _path_table(k: np.ndarray) -> _PathTable | None:
     span = radix**steps
     codes = np.arange(span)
     x = np.arange(size)[:, None]
-    paths = np.empty((size, span, steps), dtype=np.int64)
+    paths = np.empty((size, span, steps),
+                     dtype=np.uint8 if size <= 256 else np.uint16)
     for i in range(steps):
         x = paths[:, :, i] = step[x, codes // radix**i % radix]
     paths = paths.reshape(size * span, steps)
-    ends = paths[:, -1] * span
+    ends = paths[:, -1].astype(np.int64) * span
     for table in (levels, paths, ends):
         table.setflags(write=False)
     return _PathTable(levels, steps, paths, ends)
@@ -705,20 +719,42 @@ def _batch_states(chain: FiniteChain, nu: InitialDistribution,
 
     Row ``r`` depends only on ``draws[r]``, so results are identical however
     replications are grouped into batches.  A state is the count of CDF
-    entries below its draw, written over the draws.  Walks of more than
-    :data:`_PATH_MIN_COLUMNS` columns on a chain with a path table take
-    :func:`_table_steps`, and the others :func:`_level_steps`; both count
-    the same entries below the same draws, so they give the same states.
+    entries below its draw, written over the draws as int64.  Walks of
+    more than :data:`_PATH_MIN_COLUMNS` columns on a chain with a path
+    table take :func:`_table_steps` in a walk of the table's dtype, and the
+    others :func:`_level_steps`; both count the same entries below the
+    same draws, so they give the same states.
     """
     states = draws.view(np.int64)
-    cum_nu = np.cumsum(nu.nu)[:-1]
-    x = (cum_nu[:, None] < draws[:, 0]).sum(axis=0)
-    states[:, 0] = x
     if draws.shape[1] > _PATH_MIN_COLUMNS and chain._paths is not None:
-        _table_steps(chain._paths, x, draws)
-    else:
-        _level_steps(chain, x, draws)
+        walk = np.empty(draws.shape, dtype=chain._paths.paths.dtype)
+        _draw_ranks(chain, nu, draws, walk)
+        _table_steps(chain._paths, walk)
+        states[:] = walk
+        return states
+    x = _start_states(nu, draws[:, 0])
+    states[:, 0] = x
+    _level_steps(chain, x, draws)
     return states
+
+
+def _start_states(nu: InitialDistribution, u: np.ndarray) -> np.ndarray:
+    """The start state of each draw of ``u``: the count of ``nu``'s CDF
+    entries below it."""
+    return (np.cumsum(nu.nu)[:-1, None] < u).sum(axis=0)
+
+
+def _draw_ranks(chain: FiniteChain, nu: InitialDistribution,
+                draws: np.ndarray, walk: np.ndarray) -> None:
+    """Write each row's start state into column 0 of the integer ``walk``,
+    and the rank of each later draw among the path table's levels (the
+    number of levels below it) into the same column of ``walk``, ready
+    for :func:`_table_steps`."""
+    walk[:, 0] = _start_states(nu, draws[:, 0])
+    ranks = walk[:, 1:]
+    ranks[...] = 0
+    for level in chain._paths.levels:
+        ranks += draws[:, 1:] > level
 
 
 def _level_steps(chain: FiniteChain, x: np.ndarray,
@@ -744,31 +780,30 @@ def _level_steps(chain: FiniteChain, x: np.ndarray,
         states[:, start:start + len(stepped)] = stepped.T
 
 
-def _table_steps(table: _PathTable, x: np.ndarray,
-                 draws: np.ndarray) -> None:
+def _table_steps(table: _PathTable, walk: np.ndarray) -> None:
     """:func:`_level_steps` through the path table, ``table.steps`` steps
-    per interpreted iteration.
+    per interpreted iteration, on an integer ``walk`` of the table's dtype
+    that holds the start states in column 0 and draw ranks after them
+    (:func:`_draw_ranks`); the states are written over the ranks.
 
     Each time block of whole groups of ``steps`` columns (the last one
-    padded with rank 0, whose paths are cut off) becomes ranks, from
-    comparisons summed over the levels, then codes by Horner's rule.  One
-    add and one ``take`` per group find each row's path-table row; one
-    gather then writes the block's states over its draws, after they were
-    read.  A rank fits a byte: two steps at a radix above 256 would
-    exceed the table budget.
+    padded with rank 0, whose paths are cut off) becomes codes by Horner's
+    rule.  One add and one ``take`` per group find each row's path-table
+    row; one gather then writes the block's states over its ranks, after
+    they were read.
     """
-    states = draws.view(np.int64)
-    rows, length = draws.shape
+    rows, length = walk.shape
     steps, radix = table.steps, table.radix
-    offset = x * radix**steps
+    offset = walk[:, 0].astype(np.int64) * radix**steps
     width = _STEP_BLOCK // steps * steps
     for start in range(1, length, width):
-        block = draws[:, start:start + width]
+        block = walk[:, start:start + width]
         cols = block.shape[1]
         groups = -(-cols // steps)
-        ranks = np.zeros((rows, groups * steps), dtype=np.uint8)
-        for level in table.levels:
-            ranks[:, :cols] += block > level
+        ranks = block
+        if cols < groups * steps:
+            ranks = np.zeros((rows, groups * steps), dtype=walk.dtype)
+            ranks[:, :cols] = block
         ranks = ranks.reshape(rows, groups, steps)
         codes = ranks[:, :, -1].astype(np.int64)
         for i in range(steps - 2, -1, -1):
@@ -778,7 +813,7 @@ def _table_steps(table: _PathTable, x: np.ndarray,
         for row in index:
             row += offset
             offset = table.ends.take(row)
-        states[:, start:start + cols] = table.paths.take(
+        block[...] = table.paths.take(
             index.T, axis=0).reshape(rows, -1)[:, :cols]
 
 
@@ -886,6 +921,11 @@ class _ContinuousSampler:
         """Uniforms a replication of ``length`` values draws."""
         return length
 
+    def _walk_dtype(self, length: int):
+        """None: a sampler's rows are floats (see
+        :meth:`FiniteChainModel._walk_dtype`)."""
+        return None
+
 
 class IidUniformSampler(_ContinuousSampler):
     """Independent uniform draws, viewed as a chain with gap 1."""
@@ -988,27 +1028,59 @@ class FiniteChainModel:
         """Uniforms a replication of ``length`` values draws."""
         return length
 
-    def batch_values(self, f_values, length: int, streams,
-                     out: np.ndarray | None = None) -> np.ndarray:
-        """``f`` along each replication's walk, one row per stream,
-        written over the walk's uniforms (in ``out`` if given).
+    def _walk_dtype(self, length: int):
+        """The integer dtype a walk of ``length`` steps is held in while it
+        steps through the chain's path table (the table's: one or two bytes
+        a state), or None when such a walk steps by the level table."""
+        if length > _PATH_MIN_COLUMNS and self.chain._paths is not None:
+            return self.chain._paths.paths.dtype
+        return None
 
-        An integer-valued ``f`` whose walk sums stay below ``2**53`` in
-        magnitude gives an int64 matrix (the states themselves when ``f``
-        is ``arange(S)``), so its partial sums are exact; any other ``f``
-        gives the float matrix ``f[states]``.
-        """
+    def _value_table(self, f_values, length: int):
+        """The values ``f`` takes at each state, as the walk's values are
+        taken from it: None when they are the states (``f`` is
+        ``arange(S)``), int64 when ``f`` is integer-valued and every walk
+        sum stays below ``2**53`` in magnitude, so that its partial sums
+        are exact, and float64 otherwise."""
         f = np.asarray(f_values, dtype=float)
-        states = _batch_states(self.chain, self.nu,
-                               streams.uniforms(length, out))
-        # states are in range; the default mode="raise" would write through
-        # a buffered copy of `out`, a second matrix
         if not (np.array_equal(f, np.round(f))
                 and float(np.abs(f).max()) < 2.0**53 / length):
-            return f.take(states, out=states.view(np.float64), mode="clip")
+            return f
         if np.array_equal(f, np.arange(f.size)):
+            return None
+        return f.astype(np.int64)
+
+    def batch_values(self, f_values, length: int, streams,
+                     out: np.ndarray | None = None,
+                     draws: np.ndarray | None = None) -> np.ndarray:
+        """``f`` along each replication's walk, one row per stream,
+        written over the walk's uniforms (in ``out`` if given): an int64
+        matrix, the states themselves when ``f`` is ``arange(S)``, or a
+        float one, as :meth:`_value_table` gives the values.
+
+        With ``draws``, a flat float buffer of at least one row, ``out``
+        is an integer block of :meth:`_walk_dtype` instead: the uniforms
+        are drawn into ``draws`` a few rows at a time and turned into draw
+        ranks in ``out`` at once, and the walk's states are written over
+        them and returned; the caller takes ``f``'s values at them.
+        """
+        if draws is not None:
+            per_fill = max(1, len(draws) // length)
+            for start in range(0, len(streams), per_fill):
+                part = streams[start:start + per_fill]
+                _draw_ranks(self.chain, self.nu, part.uniforms(
+                    length, draws[:len(part) * length].reshape(-1, length)),
+                    out[start:start + len(part)])
+            _table_steps(self.chain._paths, out)
+            return out
+        states = _batch_states(self.chain, self.nu,
+                               streams.uniforms(length, out))
+        table = self._value_table(f_values, length)
+        if table is None:
             return states
-        return f.astype(np.int64).take(states, out=states, mode="clip")
+        # states are in range; the default mode="raise" would write through
+        # a buffered copy of `out`, a second matrix
+        return table.take(states, out=states.view(table.dtype), mode="clip")
 
 
 def finite_model(chain: FiniteChain, nu: InitialDistribution | None = None,

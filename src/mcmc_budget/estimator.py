@@ -5,10 +5,15 @@ average of f along the chain and mu the exact stationary expectation
 supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
 bit-identical however the work is chunked or threaded.  Every model's rows
-are drawn, stepped and reduced a block at a time on every core, in one
-buffer per core, with no matrix of every walk.  An integer-valued f on a
-finite chain is reduced from exact partial sums of its int64 walk, which
-gives the window means bit for bit without a float copy of the walk.
+are drawn, stepped and reduced a block at a time on every core, in
+buffers of each core's own, with no matrix of every walk.  A long walk on
+a finite chain with a path table is held as one byte a step (two on
+chains of more than 256 states), so a block holds eight times the walks
+of a float block, and the interpreted stepping loop runs once per block.  An
+integer-valued f on a finite chain is reduced from exact partial sums of
+its integer walk, taken segment by segment in int64 accumulators, which
+gives the window means bit for bit without a float or int64 copy of the
+walk.
 
 Because |S - mu| itself can have infinite variance in the heavy-tailed
 regimes under study, the spread of the estimate is reported as half the
@@ -41,17 +46,25 @@ __all__ = [
 
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
-# the uniforms of a block of rows each core holds at once.  A walk pays its
-# interpreted stepping loop once per block, so it takes 2**21 (16 MB; 2**20
-# held less but ran slower); i.i.d. rows only draw and transform, and keep
-# theirs in cache (1 MB, half a core's L2 cache on the Xeon it was timed on)
-_WALK_BLOCK = 2**21
+# the bytes of a block of walks each core holds at once: a walk pays its
+# interpreted stepping loop once per block, so it takes 16 MB, 2**21 floats
+# or 2**24 one-byte states (2**20 floats held less but ran slower).  i.i.d.
+# rows only draw and transform, and keep theirs in cache (2**17 floats,
+# 1 MB, half a core's L2 cache on the Xeon it was timed on), as do the
+# draws of a walk held as integers
+_WALK_BYTES = 2**24
 _DRAW_BLOCK = 2**17
-# a walk's stepping loop makes one interpreted numpy call per step over a
-# block's rows, holding the interpreter lock; on blocks of fewer rows than
-# this the calls cost more than the work they start, so threads only
-# contend and such a walk runs on one thread (two-state, 1000 walks of
-# 10004 steps in 12-row blocks: 344 ms on one thread, 560 ms on two)
+# Threads pay only where each interpreted call, which holds the interpreter
+# lock, starts enough numpy work; elsewhere they contend.  So the rows run
+# on every core only when each row has at least _THREADED_WIDTH uniforms
+# (every row's draw re-keys a generator under the lock) and a walk's block
+# at least _THREADED_WALK_ROWS rows (its stepping loop makes one call per
+# step over the block's rows).  Best of 5, one thread against two: 117647
+# i.i.d. rows of 17 took 257 against 575 ms, 4000 rows of 500 27 against
+# 37 ms, 2000 rows of 1000 35 against 29 ms; 20000 indep-mh walks of 99
+# uniforms 74 against 118 ms; two-state, 1000 walks of 10004 steps in
+# 12-row blocks, 344 against 560 ms
+_THREADED_WIDTH = 1000
 _THREADED_WALK_ROWS = 128
 # replications whose stream keys a slice derives at once: a derivation
 # costs ~0.1 ms however few keys it gives
@@ -102,24 +115,28 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     One walk of ``max(n + n0)`` steps per replication serves every window:
     a shorter trajectory is a prefix of a longer one on the same stream.
     The replications are split into one contiguous row slice per core
-    (``chains._over_row_slices``), each with one buffer of its own.  A
-    slice derives its streams' keys at least :data:`_KEY_BLOCK` rows at a
-    time, and for each block of rows has the model draw, step and
-    transform the block in its buffer (``batch_values``), then reduces
-    every window into the block's own columns.  A block holds at most
-    ``chunk_elements`` uniforms, and at most :data:`_WALK_BLOCK` on a walk
-    or :data:`_DRAW_BLOCK` on ``iid-uniform``, or one row if wider.  Two
-    cases take one slice, on the calling thread: rows of at most
-    :data:`~mcmc_budget.chains._PHILOX_MAX_WIDTH` uniforms (the oracle's),
-    where the Philox block function draws a whole block in one vectorised
-    pass, and walks in blocks of fewer than :data:`_THREADED_WALK_ROWS`
-    rows.  A row depends only on its stream, so the bytes do not depend on
-    the core count or the block size.
+    (``chains._over_row_slices``), each with buffers of its own.  A slice
+    derives its streams' keys at least :data:`_KEY_BLOCK` rows at a time,
+    and for each block of rows has the model draw, step and transform the
+    block in its buffer (``batch_values``), then reduces every window into
+    the block's own columns.  A block holds at most ``chunk_elements``
+    values, and at most :data:`_WALK_BYTES` bytes on a walk or
+    :data:`_DRAW_BLOCK` uniforms on ``iid-uniform``, or one row if wider.
+    The rows run on one slice, on the calling thread, unless they are at
+    least :data:`_THREADED_WIDTH` uniforms wide and, on a walk, a block
+    holds at least :data:`_THREADED_WALK_ROWS` of them.  A row depends
+    only on its stream, so the bytes do not depend on the core count or
+    the block size.
 
-    An integer walk (see ``FiniteChainModel.batch_values``) is reduced by
-    :func:`_window_deviations`.  A float walk is reduced window by window
-    with ``np.mean``; a sum that overflows gives an infinite deviation,
-    which :func:`_estimates` refuses.
+    A walk through a chain's path table (``FiniteChainModel._walk_dtype``)
+    is held as one or two bytes a step: its uniforms go through a float
+    buffer of at most :data:`_DRAW_BLOCK` values a few rows at a time, and
+    become draw ranks, then states, in the block.  Unless ``f`` is
+    ``arange(S)``, its values at those states are taken into the float
+    buffer a few rows at a time.  An integer walk or integer values are
+    reduced by :func:`_window_deviations`; float values window by window
+    with ``np.mean``, where a sum that overflows gives an infinite
+    deviation, which :func:`_estimates` refuses.
     """
     if not windows:
         raise DomainError("at least one window is required")
@@ -135,38 +152,62 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     width = model.uniform_width(length)
     deviations = np.empty((len(windows), replications))
     iid = isinstance(model, IidUniformSampler)
-    block = int(chunk_elements)
-    if width > _PHILOX_MAX_WIDTH:
-        block = min(block, _DRAW_BLOCK if iid else _WALK_BLOCK)
-    rows = max(1, block // width)
-    threaded = width > _PHILOX_MAX_WIDTH and (
+    dtype = model._walk_dtype(length)
+    cap = int(chunk_elements)
+    if dtype is not None:
+        cap = min(cap, _WALK_BYTES // dtype.itemsize)
+    elif width > _PHILOX_MAX_WIDTH:
+        cap = min(cap, _DRAW_BLOCK if iid else _WALK_BYTES // 8)
+    rows = max(1, cap // width)
+    threaded = width >= _THREADED_WIDTH and (
         iid or rows >= _THREADED_WALK_ROWS)
     key_rows = rows * -(-_KEY_BLOCK // rows)
+    draw_rows = 0 if dtype is None else max(1, _DRAW_BLOCK // width)
+    values_of = None if dtype is None else model._value_table(f, length)
 
-    def reduce(start: int, stop: int, buffer: np.ndarray) -> None:
+    def reduce_values(values: np.ndarray, out: np.ndarray) -> None:
+        if values.dtype.kind != "f":
+            _window_deviations(values, windows, mu, out)
+            return
+        for k, (n, n0) in enumerate(windows):
+            out[k] = np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
+
+    def reduce(start: int, stop: int, buffer: np.ndarray,
+               draws: np.ndarray | None = None) -> None:
         for first in range(start, stop, key_rows):
             streams = _ReplicationStreams(master_seed, first,
                                           min(first + key_rows, stop))
             for offset in range(0, len(streams), rows):
                 part = streams[offset:offset + rows]
-                values = model.batch_values(
-                    f, length, part,
-                    out=buffer[:len(part) * width].reshape(len(part), width))
                 out = deviations[:, first + offset:first + offset + len(part)]
-                if values.dtype.kind != "f":
-                    _window_deviations(values, windows, mu, out)
+                block = buffer[:len(part) * width].reshape(len(part), width)
+                if draws is None:
+                    reduce_values(model.batch_values(f, length, part,
+                                                     out=block), out)
                     continue
-                for k, (n, n0) in enumerate(windows):
-                    out[k] = np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
+                walk = model.batch_values(f, length, part, out=block,
+                                          draws=draws)
+                if values_of is None:
+                    reduce_values(walk, out)
+                    continue
+                # f's values, a few rows at a time in the draw buffer
+                for row in range(0, len(part), draw_rows):
+                    states = walk[row:row + draw_rows]
+                    values = values_of.take(states, mode="clip", out=draws[
+                        :states.size].view(values_of.dtype).reshape(
+                            states.shape))
+                    reduce_values(values, out[:, row:row + draw_rows])
 
-    def reduce_slice(start: int, stop: int, buffer: np.ndarray) -> None:
+    def reduce_slice(start: int, stop: int, buffer: np.ndarray,
+                     *draws: np.ndarray) -> None:
         # numpy's error state is per thread, so each slice sets its own: a
         # window sum that overflows is an infinite deviation, which
         # _estimates refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            reduce(start, stop, buffer)
+            reduce(start, stop, buffer, *draws)
 
-    _over_row_slices(reduce_slice, replications, width, rows, threaded)
+    _over_row_slices(reduce_slice, replications, width, rows, threaded,
+                     np.float64 if dtype is None else dtype, draw_rows)
     return deviations
 
 
@@ -175,25 +216,29 @@ def _window_deviations(walk: np.ndarray, windows, mu: float,
     """Write ``|S - mu|`` of every window of an integer ``walk`` into
     ``out`` (window by replication).
 
-    The walk's columns split into segments at every window boundary; one
-    ``np.add.reduceat`` sums each segment and a running sum over those few
-    columns gives every boundary's partial sum.  When every segment is one
-    column (the oracle's short walks), the walk is its own segment sums and
-    is summed in place instead.  Every partial sum is an integer below
-    ``2**53``, exact in any order of addition, so a window's sum, the
-    difference of the partial sums at its ends, divided by ``n`` is bit for
-    bit ``np.mean`` of the window.
+    The walk's columns split into segments at every window boundary; each
+    segment is summed in an int64 accumulator (``sum(dtype=np.int64)``,
+    which casts a block of the walk at a time, where ``np.add.reduceat``
+    with that dtype would cast a copy of the whole walk first), and a
+    running sum over those few sums gives every boundary's partial sum.
+    When every segment of an int64 walk is one column (the oracle's short
+    walks), the walk is its own segment sums and is summed in place
+    instead.  Every partial sum is an integer below ``2**53``, exact in any
+    order of addition, so a window's sum, the difference of the partial
+    sums at its ends, divided by ``n`` is bit for bit ``np.mean`` of the
+    window.
     """
     edges = sorted({0, *(b for n, n0 in windows for b in (n0, n0 + n))})
-    if len(edges) > walk.shape[1]:
-        partial = np.cumsum(walk, axis=1, out=walk)
-    else:
-        partial = np.add.reduceat(walk, edges[:-1], axis=1)
-        np.cumsum(partial, axis=1, out=partial)
     # row i of `sums` is the sum of the first edges[i] columns
     sums = np.empty((len(edges), walk.shape[0]))
     sums[0] = 0.0
-    sums[1:] = partial.T
+    if len(edges) > walk.shape[1] and walk.dtype == np.int64:
+        sums[1:] = np.cumsum(walk, axis=1, out=walk).T
+    else:
+        partial = np.empty((len(edges) - 1, walk.shape[0]), dtype=np.int64)
+        for i, (a, b) in enumerate(zip(edges, edges[1:])):
+            walk[:, a:b].sum(axis=1, dtype=np.int64, out=partial[i])
+        sums[1:] = np.cumsum(partial, axis=0, out=partial)
     row = {b: i for i, b in enumerate(edges)}
     for k, (n, n0) in enumerate(windows):
         window = out[k]

@@ -647,9 +647,10 @@ def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):
 
     returned = []
     with pytest.raises(ZeroDivisionError, match="slice failed"):
-        # the i.i.d. estimator applies f on every slice's own thread
+        # the i.i.d. estimator applies f on every slice's own thread, on
+        # rows wide enough to be threaded
         returned.append(estimate_e1_windows(
-            IidUniformSampler(), FailsOffTheCaller(0.5), [(100, 0)], 7, 7))
+            IidUniformSampler(), FailsOffTheCaller(0.5), [(1000, 0)], 7, 7))
     assert returned == []
     assert threading.active_count() == threads_before
 

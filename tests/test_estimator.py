@@ -27,9 +27,10 @@ from mcmc_budget.bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from mcmc_budget import chains
+from mcmc_budget import chains, estimator
 from mcmc_budget.chains import (
     FiniteChain,
+    FiniteChainModel,
     IidUniformSampler,
     InitialDistribution,
     SingularFunction,
@@ -48,6 +49,7 @@ from mcmc_budget.estimator import (
     rate_regression,
     _deviations,
     _estimates,
+    _window_deviations,
 )
 from mcmc_budget.exceptions import DomainError
 from mcmc_budget.validate import _point_mass_rebind
@@ -310,6 +312,8 @@ class TestIidRows:
     def test_bit_identical_to_the_rows_of_batch_values(
             self, monkeypatch, windows, replications, workers):
         monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+        # rows of every width on every slice, as the wide ones run
+        monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
         reference = self.reference(windows, replications, 29)
         got = _deviations(IidUniformSampler(), self.F, windows, replications,
                           29, DEFAULT_CHUNK_ELEMENTS)
@@ -320,6 +324,7 @@ class TestIidRows:
 
     def test_bytes_do_not_depend_on_cores_or_chunking(self, monkeypatch):
         windows = [(20, 5), (300, 0), (2000, 1)]
+        monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
         outputs = set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(chains, "_worker_count", lambda: workers)
@@ -361,6 +366,20 @@ class TestRowBlocks:
                           [(10, 1149), (2000, 1149)], 101),
         "indep-mh-2x": ("indep-mh-2x", SingularFunction(0.5),
                         [(5, 3), (300, 0)], 103),
+        # two-byte states, a 3-step table
+        "lazy-cycle-300": ("lazy-cycle-300", np.arange(300.0),
+                           [(10, 0), (1500, 7)], 101),
+        # integer values other than the states, taken a few rows at a time
+        "two-state-int-f": ("two-state", np.array([-3.0, 7.0]),
+                            [(10, 0), (3000, 4)], 101),
+        # the widest integer values the int64 route takes over 3004 steps,
+        # and the narrowest the float route takes
+        "two-state-below-2**53": ("two-state",
+                                  np.array([0.0, -(-2**53 // 3004) - 1]),
+                                  [(10, 0), (3000, 4)], 101),
+        "two-state-at-2**53": ("two-state",
+                               np.array([0.0, -(-2**53 // 3004)]),
+                               [(10, 0), (3000, 4)], 101),
     }
 
     def reference(self, model, f, windows, replications, seed):
@@ -379,6 +398,8 @@ class TestRowBlocks:
         name, f, windows, replications = self.CASES[case]
         model = make_chain(name)
         want = self.reference(model, f, windows, replications, 31).tobytes()
+        # rows of every width on every slice, as the wide ones run
+        monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
         # more workers than cores, switching threads as often as possible
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -393,9 +414,10 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
 
     def test_a_dominance_run_holds_no_walk_matrix(self, monkeypatch):
-        # a cap of 10**7 uniforms lets the parent's chunk loop draw all
-        # 1000 walks of 10004 steps at once, an 80 MB matrix; each of the
-        # two cores here holds one block of at most 2**21 uniforms
+        # a cap of 10**7 values would let a chunk loop draw all 1000 walks
+        # of 10004 steps at once, an 80 MB float matrix; each of the two
+        # cores here holds its 500 walks as one byte a step (5 MB) and a
+        # float draw buffer of 2**17 values (1 MB)
         monkeypatch.setattr(chains, "_worker_count", lambda: 2)
         model = make_chain("two-state")
         windows = [(n, 4) for n in (10, 100, 1000, 10_000)]
@@ -406,7 +428,7 @@ class TestRowBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * 1000 * 10_004 * 8
+        assert peak < 0.2 * 1000 * 10_004 * 8
 
     def test_a_failing_walk_slice_raises_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(chains, "_worker_count", lambda: 3)
@@ -426,6 +448,103 @@ class TestRowBlocks:
                 make_chain("two-state"), F01, [(1000, 0)], 7, 7))
         assert returned == []
         assert threading.active_count() == threads_before
+
+
+def byte_walk(model, length, streams, draw_rows):
+    """The states of ``batch_values`` on an integer block, drawn through a
+    float buffer of ``draw_rows`` rows."""
+    walk = np.empty((len(streams), length), dtype=model._walk_dtype(length))
+    got = model.batch_values(None, length, streams, out=walk,
+                             draws=np.empty(draw_rows * length))
+    assert got is walk
+    return walk
+
+
+def level_walk(model, length, streams):
+    """The states by the level-table loop, one draw at a time, whatever
+    the walk's length."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "_PATH_MIN_COLUMNS", 2**62)
+        return _batch_states(model.chain, model.nu,
+                             streams.uniforms(length))
+
+
+def rank_byte_chain():
+    """A 17-state chain whose CDF values below 1.0 are the 255 multiples
+    of 1/256: draw ranks fill a byte."""
+    k = np.zeros((17, 17))
+    for i in range(16):
+        cdf = np.append(np.arange(16 * i + 1, 16 * i + 17) / 256, 1.0)
+        k[i] = np.diff(cdf, prepend=0.0)
+    k[16] = k[0]
+    return FiniteChain.from_matrix(k)
+
+
+class TestByteWalks:
+    """A walk through a chain's path table is held as one or two bytes a
+    step, from draw ranks; its states must be those of the level-table
+    loop, one draw at a time."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), chain=reversible_chains(8),
+           point_mass=st.booleans())
+    def test_states_are_the_level_walk(self, data, chain, point_mass):
+        nu = (InitialDistribution.point_mass(
+            int(np.argmin(chain.stationary)), chain) if point_mass
+            else InitialDistribution.stationary(chain))
+        model = FiniteChainModel("random", chain, nu)
+        length = data.draw(st.sampled_from([65, 66, 257, 600]))
+        assert model._walk_dtype(length) == np.uint8
+        rows = data.draw(st.integers(1, 9))
+        streams = _ReplicationStreams(data.draw(st.integers(0, 2**32)), 0,
+                                      rows)
+        draw_rows = data.draw(st.integers(1, rows))
+        assert np.array_equal(byte_walk(model, length, streams, draw_rows),
+                              level_walk(model, length, streams))
+
+    def test_two_byte_states(self):
+        model = make_chain("lazy-cycle-300")
+        assert (model.chain._paths.radix, model.chain._paths.steps) == (5, 3)
+        assert model._walk_dtype(1000) == np.uint16
+        assert model._walk_dtype(64) is None
+        streams = _ReplicationStreams(12, 0, 6)
+        walk = byte_walk(model, 1000, streams, 4)
+        assert walk.max() > 255
+        assert np.array_equal(walk, level_walk(model, 1000, streams))
+
+    def test_ranks_that_fill_a_byte(self, monkeypatch):
+        # a table of 2 steps at radix 256 takes 17 * 256**2 * 2 entries
+        monkeypatch.setattr(chains, "_PATH_TABLE_ENTRIES", 2**22)
+        chain = rank_byte_chain()
+        assert (chain._paths.radix, chain._paths.steps) == (256, 2)
+        model = FiniteChainModel("rank-byte", chain,
+                                 InitialDistribution.stationary(chain))
+        assert model._walk_dtype(300) == np.uint8
+        streams = _ReplicationStreams(3, 0, 40)
+        ranks = np.empty((40, 300), dtype=np.uint8)
+        chains._draw_ranks(chain, model.nu, streams.uniforms(300), ranks)
+        assert ranks[:, 1:].max() == 255
+        assert np.array_equal(byte_walk(model, 300, streams, 7),
+                              level_walk(model, 300, streams))
+
+    def test_segment_sums_copy_no_walk(self):
+        # np.add.reduceat with an int64 dtype would cast the whole 5 MB
+        # walk first, a 40 MB copy
+        walk = np.random.default_rng(1).integers(0, 2, (500, 10_004),
+                                                 dtype=np.uint8)
+        windows = [(n, 4) for n in (10, 100, 1000, 10_000)]
+        out = np.empty((len(windows), 500))
+        tracemalloc.start()
+        try:
+            _window_deviations(walk, windows, 0.5, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * walk.nbytes
+        want = np.array([np.abs(walk[:, n0:n0 + n].mean(axis=1) - 0.5)
+                         for n, n0 in windows])
+        assert out.tobytes() == want.tobytes()
 
 
 class TestEstimateE1:

@@ -16,11 +16,11 @@ order, chunking, or thread count.  Replication ``r`` of master seed ``s``
 draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  A block of
 replications is one :class:`_ReplicationStreams`, whose keys are derived in
 one vectorised pass that reproduces numpy's ``SeedSequence`` hash; every
-sampler is a function of its uniform matrix, and writes its values over
-that matrix in a buffer it is given.  Short rows come from a numpy Philox
-block function, whose first round is in closed form (a block's counter
-has one nonzero word) and whose other nine rounds write into buffers
-reused across rounds.  Longer rows are drawn one at a time by a generator
+sampler is a function of its uniform matrix, and writes its values (a
+finite chain: its states) into a buffer it is given.  Short rows come
+from a numpy Philox block function, whose first round is in closed form
+(a block's counter has one nonzero word) and whose other nine rounds
+write into buffers reused across rounds.  Longer rows are drawn one at a time by a generator
 re-keyed per row; a row depends only on its key.  Samplers fill their rows
 serially: the estimator splits the replications into contiguous row
 slices, one per core (:func:`_over_row_slices`), and each core draws,
@@ -34,11 +34,9 @@ the same states.  That count depends on the draw only through its rank
 among the chain's distinct CDF values below 1.0, so a long walk packs
 several consecutive ranks into one code and looks up the states of those
 steps in a per-chain table of every path, built on first use: the same
-states, several steps per interpreted iteration.  Such a walk is held as
+states, several steps per interpreted iteration.  Every walk is held as
 integers, one byte a step on chains of at most 256 states and two up to
-the 1000-state limit: its uniforms are drawn a few rows at a time into a
-small float buffer, each row becomes draw ranks at once, and the states
-are written over the ranks (:meth:`FiniteChainModel.batch_values`).
+the 1000-state limit (:meth:`FiniteChainModel._walk`).
 """
 from __future__ import annotations
 
@@ -430,11 +428,17 @@ class FiniteChain:
     def size(self) -> int:
         return self.transition.shape[0]
 
+    @property
+    def _state_dtype(self) -> np.dtype:
+        """The integer dtype of the chain's walks and path table: one byte
+        a state on chains of at most 256 states, two above."""
+        return np.dtype(np.uint8 if self.size <= 256 else np.uint16)
+
     @cached_property
     def _paths(self) -> "_PathTable | None":
         """The chain's path table (:func:`_path_table`), built on first
         use and freed with the chain."""
-        return _path_table(self.transition)
+        return _path_table(self)
 
     @cached_property
     def _gap(self) -> float:
@@ -572,8 +576,8 @@ class _PathTable:
     Row ``x * radix**steps + code`` of ``paths`` holds the states after each
     of those steps from state ``x``; the same entry of ``ends`` is the last
     of them times ``radix**steps``, the row offset of the next steps.
-    ``paths`` holds one byte a state on chains of at most 256 states and
-    two up to the 1000-state limit: the dtype of the walks it steps.
+    ``paths`` holds the chain's :attr:`FiniteChain._state_dtype`, the
+    dtype of the walks it steps.
     """
 
     levels: np.ndarray
@@ -586,18 +590,18 @@ class _PathTable:
         return len(self.levels) + 1
 
 
-def _path_table(k: np.ndarray) -> _PathTable | None:
-    """The path table of the transition matrix ``k`` for the most steps
-    whose ``S * radix**steps * steps`` entries fit
-    :data:`_PATH_TABLE_ENTRIES`, at most :data:`_STEP_BLOCK`; None when
-    fewer than two steps fit, where a table saves no interpreter iteration.
+def _path_table(chain: FiniteChain) -> _PathTable | None:
+    """The path table of ``chain`` for the most steps whose ``S *
+    radix**steps * steps`` entries fit :data:`_PATH_TABLE_ENTRIES`, at most
+    :data:`_STEP_BLOCK`; None when fewer than two steps fit, where a table
+    saves no interpreter iteration.
 
     A draw ``u`` of rank ``q`` sends state ``x`` to the number of row
     ``x``'s CDF entries below ``u``: those at or below level ``q - 1``.
     Entries of 1.0 or more exceed every level and every draw.
     """
-    size = len(k)
-    cdf = np.cumsum(k, axis=1)[:, :-1]
+    size = chain.size
+    cdf = np.cumsum(chain.transition, axis=1)[:, :-1]
     levels = np.unique(cdf[cdf < 1.0])
     radix = len(levels) + 1
     steps = 0
@@ -612,8 +616,7 @@ def _path_table(k: np.ndarray) -> _PathTable | None:
     span = radix**steps
     codes = np.arange(span)
     x = np.arange(size)[:, None]
-    paths = np.empty((size, span, steps),
-                     dtype=np.uint8 if size <= 256 else np.uint16)
+    paths = np.empty((size, span, steps), dtype=chain._state_dtype)
     for i in range(steps):
         x = paths[:, :, i] = step[x, codes // radix**i % radix]
     paths = paths.reshape(size * span, steps)
@@ -713,31 +716,6 @@ def _worst_start_tv(transition: np.ndarray, stationary: np.ndarray,
 # simulation
 
 
-def _batch_states(chain: FiniteChain, nu: InitialDistribution,
-                  draws: np.ndarray) -> np.ndarray:
-    """Trajectories by inverse-CDF stepping, one per row of ``draws``.
-
-    Row ``r`` depends only on ``draws[r]``, so results are identical however
-    replications are grouped into batches.  A state is the count of CDF
-    entries below its draw, written over the draws as int64.  Walks of
-    more than :data:`_PATH_MIN_COLUMNS` columns on a chain with a path
-    table take :func:`_table_steps` in a walk of the table's dtype, and the
-    others :func:`_level_steps`; both count the same entries below the
-    same draws, so they give the same states.
-    """
-    states = draws.view(np.int64)
-    if draws.shape[1] > _PATH_MIN_COLUMNS and chain._paths is not None:
-        walk = np.empty(draws.shape, dtype=chain._paths.paths.dtype)
-        _draw_ranks(chain, nu, draws, walk)
-        _table_steps(chain._paths, walk)
-        states[:] = walk
-        return states
-    x = _start_states(nu, draws[:, 0])
-    states[:, 0] = x
-    _level_steps(chain, x, draws)
-    return states
-
-
 def _start_states(nu: InitialDistribution, u: np.ndarray) -> np.ndarray:
     """The start state of each draw of ``u``: the count of ``nu``'s CDF
     entries below it."""
@@ -749,7 +727,7 @@ def _draw_ranks(chain: FiniteChain, nu: InitialDistribution,
     """Write each row's start state into column 0 of the integer ``walk``,
     and the rank of each later draw among the path table's levels (the
     number of levels below it) into the same column of ``walk``, ready
-    for :func:`_table_steps`."""
+    for :func:`_table_steps`: a fill of a table walk."""
     walk[:, 0] = _start_states(nu, draws[:, 0])
     ranks = walk[:, 1:]
     ranks[...] = 0
@@ -757,27 +735,29 @@ def _draw_ranks(chain: FiniteChain, nu: InitialDistribution,
         ranks += draws[:, 1:] > level
 
 
-def _level_steps(chain: FiniteChain, x: np.ndarray,
-                 draws: np.ndarray) -> None:
-    """Step states ``x`` through columns ``1 ..`` of ``draws``, writing
-    each state over its draw, one interpreted step per column.
+def _level_steps(chain: FiniteChain, nu: InitialDistribution,
+                 draws: np.ndarray, walk: np.ndarray) -> None:
+    """Write each row's start state into column 0 of the integer ``walk``
+    and step it through the later columns of ``draws``, one interpreted
+    step per column, writing each state into the same column of ``walk``:
+    a fill of a level walk.
 
     A step counts the CDF entries below the draw per distinct level of
     the current state's row (see :func:`_level_table`): ``x = sum_k
     counts[k, x] * (levels[k, x] < u)``, unweighted when every count is 1.
     The last entry is 1.0 and never below a draw in [0, 1), so it is left
-    out.  A column is written only after its block was copied.
+    out.
     """
-    states = draws.view(np.int64)
+    x = walk[:, 0] = _start_states(nu, draws[:, 0])
     levels, counts = chain._levels, chain._counts
     for start, block in _time_major_blocks(draws, 1):
-        stepped = np.empty(block.shape, dtype=np.int64)
+        stepped = np.empty(block.shape, dtype=walk.dtype)
         for t, u in enumerate(block):
             hits = levels.take(x, axis=1) < u
             if counts is not None:
                 hits = counts.take(x, axis=1) * hits
             x = stepped[t] = hits.sum(axis=0)
-        states[:, start:start + len(stepped)] = stepped.T
+        walk[:, start:start + len(stepped)] = stepped.T
 
 
 def _table_steps(table: _PathTable, walk: np.ndarray) -> None:
@@ -921,11 +901,6 @@ class _ContinuousSampler:
         """Uniforms a replication of ``length`` values draws."""
         return length
 
-    def _walk_dtype(self, length: int):
-        """None: a sampler's rows are floats (see
-        :meth:`FiniteChainModel._walk_dtype`)."""
-        return None
-
 
 class IidUniformSampler(_ContinuousSampler):
     """Independent uniform draws, viewed as a chain with gap 1."""
@@ -1028,13 +1003,38 @@ class FiniteChainModel:
         """Uniforms a replication of ``length`` values draws."""
         return length
 
-    def _walk_dtype(self, length: int):
-        """The integer dtype a walk of ``length`` steps is held in while it
-        steps through the chain's path table (the table's: one or two bytes
-        a state), or None when such a walk steps by the level table."""
-        if length > _PATH_MIN_COLUMNS and self.chain._paths is not None:
-            return self.chain._paths.paths.dtype
-        return None
+    def _walk_table(self, length: int) -> _PathTable | None:
+        """The path table a walk of ``length`` columns steps through, or
+        None where the level-table loop steps it: on walks of at most
+        :data:`_PATH_MIN_COLUMNS` columns, which step faster so, and on
+        chains with no table."""
+        return self.chain._paths if length > _PATH_MIN_COLUMNS else None
+
+    def _walk(self, length: int, streams, out: np.ndarray,
+              draws: np.ndarray) -> np.ndarray:
+        """Each replication's walk of ``length`` states, one row per
+        stream, in the integer block ``out`` of
+        :attr:`FiniteChain._state_dtype`, which it returns.
+
+        The uniforms are drawn into ``draws``, a flat float buffer of at
+        least one row, as many whole rows at a time as it holds.  Each
+        fill becomes its rows' states by the level-table loop
+        (:func:`_level_steps`), which so runs once per fill, or their draw
+        ranks (:func:`_draw_ranks`), which the path table then steps once
+        over the block (:func:`_table_steps`), as :meth:`_walk_table`
+        chooses.
+        """
+        table = self._walk_table(length)
+        fill = _level_steps if table is None else _draw_ranks
+        per_fill = max(1, len(draws) // length)
+        for start in range(0, len(streams), per_fill):
+            part = streams[start:start + per_fill]
+            fill(self.chain, self.nu, part.uniforms(
+                length, draws[:len(part) * length].reshape(-1, length)),
+                out[start:start + len(part)])
+        if table is not None:
+            _table_steps(table, out)
+        return out
 
     def _value_table(self, f_values, length: int):
         """The values ``f`` takes at each state, as the walk's values are
@@ -1050,37 +1050,13 @@ class FiniteChainModel:
             return None
         return f.astype(np.int64)
 
-    def batch_values(self, f_values, length: int, streams,
-                     out: np.ndarray | None = None,
-                     draws: np.ndarray | None = None) -> np.ndarray:
-        """``f`` along each replication's walk, one row per stream,
-        written over the walk's uniforms (in ``out`` if given): an int64
-        matrix, the states themselves when ``f`` is ``arange(S)``, or a
-        float one, as :meth:`_value_table` gives the values.
-
-        With ``draws``, a flat float buffer of at least one row, ``out``
-        is an integer block of :meth:`_walk_dtype` instead: the uniforms
-        are drawn into ``draws`` a few rows at a time and turned into draw
-        ranks in ``out`` at once, and the walk's states are written over
-        them and returned; the caller takes ``f``'s values at them.
-        """
-        if draws is not None:
-            per_fill = max(1, len(draws) // length)
-            for start in range(0, len(streams), per_fill):
-                part = streams[start:start + per_fill]
-                _draw_ranks(self.chain, self.nu, part.uniforms(
-                    length, draws[:len(part) * length].reshape(-1, length)),
-                    out[start:start + len(part)])
-            _table_steps(self.chain._paths, out)
-            return out
-        states = _batch_states(self.chain, self.nu,
-                               streams.uniforms(length, out))
-        table = self._value_table(f_values, length)
-        if table is None:
-            return states
-        # states are in range; the default mode="raise" would write through
-        # a buffered copy of `out`, a second matrix
-        return table.take(states, out=states.view(table.dtype), mode="clip")
+    def batch_values(self, f_values, length: int, streams) -> np.ndarray:
+        """``f``'s values along each replication's walk, one float row per
+        stream (:meth:`_walk`)."""
+        draws = _empty_rows(len(streams), length)
+        walk = np.empty(draws.shape, dtype=self.chain._state_dtype)
+        self._walk(length, streams, walk, draws.reshape(-1))
+        return np.asarray(f_values, dtype=float).take(walk)
 
 
 def finite_model(chain: FiniteChain, nu: InitialDistribution | None = None,

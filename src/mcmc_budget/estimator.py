@@ -6,10 +6,9 @@ supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
 bit-identical however the work is chunked or threaded.  Every model's rows
 are drawn, stepped and reduced a block at a time on every core, in
-buffers of each core's own, with no matrix of every walk.  A long walk on
-a finite chain with a path table is held as one byte a step (two on
-chains of more than 256 states), so a block holds eight times the walks
-of a float block, and the interpreted stepping loop runs once per block.  An
+buffers of each core's own, with no matrix of every walk.  A walk on a
+finite chain is held as one byte a step (two on chains of more than 256
+states), and its interpreted stepping loop runs once per block.  An
 integer-valued f on a finite chain is reduced from exact partial sums of
 its integer walk, taken segment by segment in int64 accumulators, which
 gives the window means bit for bit without a float or int64 copy of the
@@ -28,6 +27,7 @@ import numpy as np
 
 from .chains import (
     _PHILOX_MAX_WIDTH,
+    FiniteChainModel,
     IidUniformSampler,
     _over_row_slices,
     _ReplicationStreams,
@@ -51,7 +51,7 @@ _UNCERTAINTY_BLOCKS = 20
 # or 2**24 one-byte states (2**20 floats held less but ran slower).  i.i.d.
 # rows only draw and transform, and keep theirs in cache (2**17 floats,
 # 1 MB, half a core's L2 cache on the Xeon it was timed on), as do the
-# draws of a walk held as integers
+# draws of a walk through a path table
 _WALK_BYTES = 2**24
 _DRAW_BLOCK = 2**17
 # Threads pay only where each interpreted call, which holds the interpreter
@@ -118,22 +118,25 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     (``chains._over_row_slices``), each with buffers of its own.  A slice
     derives its streams' keys at least :data:`_KEY_BLOCK` rows at a time,
     and for each block of rows has the model draw, step and transform the
-    block in its buffer (``batch_values``), then reduces every window into
-    the block's own columns.  A block holds at most ``chunk_elements``
-    values, and at most :data:`_WALK_BYTES` bytes on a walk or
-    :data:`_DRAW_BLOCK` uniforms on ``iid-uniform``, or one row if wider.
+    block in its buffer (``batch_values``, or ``FiniteChainModel._walk``
+    on a finite chain), then reduces every window into the block's own
+    columns.  A block holds at most ``chunk_elements`` values, and at most
+    :data:`_WALK_BYTES` bytes on a walk or :data:`_DRAW_BLOCK` uniforms on
+    ``iid-uniform``, or one row if wider.
     The rows run on one slice, on the calling thread, unless they are at
     least :data:`_THREADED_WIDTH` uniforms wide and, on a walk, a block
     holds at least :data:`_THREADED_WALK_ROWS` of them.  A row depends
     only on its stream, so the bytes do not depend on the core count or
     the block size.
 
-    A walk through a chain's path table (``FiniteChainModel._walk_dtype``)
-    is held as one or two bytes a step: its uniforms go through a float
-    buffer of at most :data:`_DRAW_BLOCK` values a few rows at a time, and
-    become draw ranks, then states, in the block.  Unless ``f`` is
+    A finite walk is held as integer states in the block
+    (``FiniteChainModel._walk``), its uniforms drawn through a float
+    buffer: the whole block's for a walk by the level-table loop, which
+    runs once per fill, and at most :data:`_DRAW_BLOCK` values, a few rows
+    at a time, for a walk through a path table, whose block is then
+    capped at :data:`_WALK_BYTES` of states.  Unless ``f`` is
     ``arange(S)``, its values at those states are taken into the float
-    buffer a few rows at a time.  An integer walk or integer values are
+    buffer a fill at a time.  An integer walk or integer values are
     reduced by :func:`_window_deviations`; float values window by window
     with ``np.mean``, where a sum that overflows gives an infinite
     deviation, which :func:`_estimates` refuses.
@@ -152,9 +155,11 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     width = model.uniform_width(length)
     deviations = np.empty((len(windows), replications))
     iid = isinstance(model, IidUniformSampler)
-    dtype = model._walk_dtype(length)
+    finite = isinstance(model, FiniteChainModel)
+    table = finite and model._walk_table(length) is not None
+    dtype = model.chain._state_dtype if finite else np.float64
     cap = int(chunk_elements)
-    if dtype is not None:
+    if table:
         cap = min(cap, _WALK_BYTES // dtype.itemsize)
     elif width > _PHILOX_MAX_WIDTH:
         cap = min(cap, _DRAW_BLOCK if iid else _WALK_BYTES // 8)
@@ -162,8 +167,13 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     threaded = width >= _THREADED_WIDTH and (
         iid or rows >= _THREADED_WALK_ROWS)
     key_rows = rows * -(-_KEY_BLOCK // rows)
-    draw_rows = 0 if dtype is None else max(1, _DRAW_BLOCK // width)
-    values_of = None if dtype is None else model._value_table(f, length)
+    # a level walk's fill is its whole block, so that its stepping loop
+    # runs once per block: fills of 2**17 values took a dense 40-state
+    # chain at 4000 x 1000 from 0.30 to 0.94 s on a 2-core Xeon
+    draw_rows = 0
+    if finite:
+        draw_rows = max(1, _DRAW_BLOCK // width) if table else rows
+    values_of = model._value_table(f, length) if finite else None
 
     def reduce_values(values: np.ndarray, out: np.ndarray) -> None:
         if values.dtype.kind != "f":
@@ -185,12 +195,11 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
                     reduce_values(model.batch_values(f, length, part,
                                                      out=block), out)
                     continue
-                walk = model.batch_values(f, length, part, out=block,
-                                          draws=draws)
+                walk = model._walk(length, part, block, draws)
                 if values_of is None:
                     reduce_values(walk, out)
                     continue
-                # f's values, a few rows at a time in the draw buffer
+                # f's values, a fill at a time in the draw buffer
                 for row in range(0, len(part), draw_rows):
                     states = walk[row:row + draw_rows]
                     values = values_of.take(states, mode="clip", out=draws[
@@ -207,7 +216,7 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
             reduce(start, stop, buffer, *draws)
 
     _over_row_slices(reduce_slice, replications, width, rows, threaded,
-                     np.float64 if dtype is None else dtype, draw_rows)
+                     dtype, draw_rows)
     return deviations
 
 
@@ -221,24 +230,18 @@ def _window_deviations(walk: np.ndarray, windows, mu: float,
     which casts a block of the walk at a time, where ``np.add.reduceat``
     with that dtype would cast a copy of the whole walk first), and a
     running sum over those few sums gives every boundary's partial sum.
-    When every segment of an int64 walk is one column (the oracle's short
-    walks), the walk is its own segment sums and is summed in place
-    instead.  Every partial sum is an integer below ``2**53``, exact in any
-    order of addition, so a window's sum, the difference of the partial
-    sums at its ends, divided by ``n`` is bit for bit ``np.mean`` of the
-    window.
+    Every partial sum is an integer below ``2**53``, exact in any order of
+    addition, so a window's sum, the difference of the partial sums at its
+    ends, divided by ``n`` is bit for bit ``np.mean`` of the window.
     """
     edges = sorted({0, *(b for n, n0 in windows for b in (n0, n0 + n))})
     # row i of `sums` is the sum of the first edges[i] columns
     sums = np.empty((len(edges), walk.shape[0]))
     sums[0] = 0.0
-    if len(edges) > walk.shape[1] and walk.dtype == np.int64:
-        sums[1:] = np.cumsum(walk, axis=1, out=walk).T
-    else:
-        partial = np.empty((len(edges) - 1, walk.shape[0]), dtype=np.int64)
-        for i, (a, b) in enumerate(zip(edges, edges[1:])):
-            walk[:, a:b].sum(axis=1, dtype=np.int64, out=partial[i])
-        sums[1:] = np.cumsum(partial, axis=0, out=partial)
+    partial = np.empty((len(edges) - 1, walk.shape[0]), dtype=np.int64)
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        walk[:, a:b].sum(axis=1, dtype=np.int64, out=partial[i])
+    sums[1:] = np.cumsum(partial, axis=0, out=partial)
     row = {b: i for i, b in enumerate(edges)}
     for k, (n, n0) in enumerate(windows):
         window = out[k]

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import mcmc_budget
-from mcmc_budget import chains
+from mcmc_budget import chains, estimator
 from mcmc_budget.chains import (
     TV_RESOLUTION,
     FiniteChain,
@@ -41,7 +41,6 @@ from mcmc_budget.chains import (
     uniform_ergodicity_constants,
 )
 from mcmc_budget.chains import (
-    _batch_states,
     _over_row_slices,
     _philox_uniforms,
     _ReplicationStreams,
@@ -701,6 +700,20 @@ def _reference_states(chain, nu, length, master_seed, rows):
     return states
 
 
+def _stepped(chain, nu, draws, table=False):
+    """The states of the walks that ``draws`` drive, by what
+    ``FiniteChainModel._walk`` runs on a fill: the level-table loop, or
+    draw ranks that the chain's path table then steps, whatever the walk's
+    length."""
+    walk = np.empty(draws.shape, dtype=chain._state_dtype)
+    if table:
+        chains._draw_ranks(chain, nu, draws, walk)
+        chains._table_steps(chain._paths, walk)
+    else:
+        chains._level_steps(chain, nu, draws, walk)
+    return walk
+
+
 @pytest.mark.parametrize("model", [
     make_chain("two-state"),
     make_chain("lazy-cycle-50"),
@@ -711,11 +724,13 @@ def _reference_states(chain, nu, length, master_seed, rows):
 ], ids=["two-state", "lazy-cycle-50", "zero-tail-json"])
 def test_time_major_stepping_matches_per_row_reference(model):
     length, rows = 301, 9   # more steps than one time-major block
-    got = _batch_states(model.chain, model.nu,
-                        _ReplicationStreams(31, 0, rows).uniforms(length))
+    streams = _ReplicationStreams(31, 0, rows)
     want = _reference_states(model.chain, model.nu, length, 31, rows)
-    assert got.flags.c_contiguous
+    got = _stepped(model.chain, model.nu, streams.uniforms(length))
     assert np.array_equal(got, want)
+    # through the route the walk's length and the chain choose
+    assert np.array_equal(model.batch_values(
+        np.arange(model.chain.size), length, streams), want)
 
 
 def _on_level_walks(chain, nu, length, rows, seed):
@@ -782,8 +797,9 @@ def _random_dense(size, seed):
 def test_level_stepping_is_the_full_count(chain):
     nu = InitialDistribution.stationary(chain)
     draws, want = _on_level_walks(chain, nu, 300, 6, seed=chain.size)
-    got = _batch_states(chain, nu, draws)
-    assert np.array_equal(got, want)
+    assert np.array_equal(_stepped(chain, nu, draws), want)
+    if chain._paths is not None:
+        assert np.array_equal(_stepped(chain, nu, draws, table=True), want)
 
 
 def test_unit_counts_keep_the_unweighted_step():
@@ -815,14 +831,6 @@ def quantized_chains(draw):
                                                          keepdims=True))
 
 
-def _routed_states(chain, nu, draws, table):
-    """``_batch_states`` on a copy of ``draws``, through the path table or
-    through the level-table loop whatever the walk's length."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chains, "_PATH_MIN_COLUMNS", -1 if table else 2**62)
-        return _batch_states(chain, nu, draws.copy())
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), chain=quantized_chains(), point_mass=st.booleans())
@@ -840,13 +848,13 @@ def test_table_walk_is_the_level_walk(data, chain, point_mass):
     seed = data.draw(st.integers(0, 2**32))
     draws = _ReplicationStreams(seed, 0, rows).uniforms(steps + 1)
     want = _reference_states(chain, nu, steps + 1, seed, rows)
-    assert np.array_equal(_routed_states(chain, nu, draws, table=True), want)
-    assert np.array_equal(_routed_states(chain, nu, draws, table=False), want)
+    assert np.array_equal(_stepped(chain, nu, draws, table=True), want)
+    assert np.array_equal(_stepped(chain, nu, draws), want)
     # draws on the levels and at 0.0, past the crossover
     length = chains._PATH_MIN_COLUMNS + data.draw(st.integers(1, 70))
     draws, want = _on_level_walks(chain, nu, length, 3, seed)
-    assert np.array_equal(_batch_states(chain, nu, draws.copy()), want)
-    assert np.array_equal(_routed_states(chain, nu, draws, table=False), want)
+    assert np.array_equal(_stepped(chain, nu, draws, table=True), want)
+    assert np.array_equal(_stepped(chain, nu, draws), want)
 
 
 @pytest.mark.parametrize("chain, radix, steps", [
@@ -896,23 +904,92 @@ def _spied_paths(monkeypatch):
 def test_stepping_path_is_chosen_by_length_and_table(monkeypatch, chain,
                                                      rows, length, path):
     taken = _spied_paths(monkeypatch)
-    nu = InitialDistribution.stationary(chain)
-    draws = np.random.default_rng(length).random((rows, length))
-    got = _batch_states(chain, nu, draws.copy())
+    model = FiniteChainModel("walk", chain,
+                             InitialDistribution.stationary(chain))
+    streams = _ReplicationStreams(length, 0, rows)
+    got = np.empty((rows, length), dtype=chain._state_dtype)
+    model._walk(length, streams, got, np.empty(got.size))
     assert taken == [path]
     if path == "_level_steps" and length > chains._PATH_MIN_COLUMNS:
         assert chain._paths is None
     if rows * length < 10**5:
-        assert np.array_equal(got, _routed_states(chain, nu, draws,
-                                                  table=False))
+        assert np.array_equal(got, _stepped(chain, model.nu,
+                                            streams.uniforms(length)))
+
+
+def _reversible_dense(size, seed):
+    """A random reversible chain from dense symmetric weights: its distinct
+    CDF values are too many for a path table of two steps."""
+    weights = np.random.default_rng(seed).random((size, size))
+    weights += weights.T
+    return FiniteChain.from_matrix(weights / weights.sum(axis=1,
+                                                         keepdims=True))
+
+
+class TestLevelWalks:
+    """A walk by the level-table loop (a walk of at most 64 columns, or on
+    a chain with no path table) is drawn in fills of whole rows; the
+    estimator gives it a fill of its whole block, so that the loop runs
+    once per block."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_loop_runs_once_per_block(self, monkeypatch, workers):
+        monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+        blocks, fills = [], []
+
+        def walk(model, length, streams, out, draws,
+                 _walk=FiniteChainModel._walk):
+            blocks.append(len(out))
+            return _walk(model, length, streams, out, draws)
+
+        def steps(chain, nu, draws, walk, _steps=chains._level_steps):
+            fills.append(len(walk))
+            _steps(chain, nu, draws, walk)
+
+        monkeypatch.setattr(FiniteChainModel, "_walk", walk)
+        monkeypatch.setattr(chains, "_level_steps", steps)
+        chain = _reversible_dense(40, 6)
+        assert chain.reversible and chain._paths is None
+        model = FiniteChainModel("dense-40", chain,
+                                 InitialDistribution.stationary(chain))
+        estimate_e1_windows(model, np.arange(40.0), [(1000, 0), (10, 5)],
+                            3000, 5)
+        assert sum(blocks) == 3000
+        assert sorted(fills) == sorted(blocks)
+        # blocks of more rows than a fill of estimator._DRAW_BLOCK values
+        assert max(blocks) > estimator._DRAW_BLOCK // 1000
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), dense=st.booleans(), point_mass=st.booleans())
+    def test_states_are_the_reference_walk(self, data, dense, point_mass):
+        if dense:
+            chain = _reversible_dense(40, data.draw(st.integers(0, 3)))
+            length = data.draw(st.integers(1, 300))
+        else:
+            chain = data.draw(quantized_chains())
+            length = data.draw(st.integers(1, chains._PATH_MIN_COLUMNS))
+        nu = (InitialDistribution.point_mass(
+            data.draw(st.integers(0, chain.size - 1)), chain) if point_mass
+            else InitialDistribution.stationary(chain))
+        model = FiniteChainModel("level", chain, nu)
+        assert model._walk_table(length) is None
+        rows = data.draw(st.integers(1, 9))
+        seed = data.draw(st.integers(0, 2**32))
+        draw_rows = data.draw(st.integers(1, rows))
+        walk = np.empty((rows, length), dtype=chain._state_dtype)
+        model._walk(length, _ReplicationStreams(seed, 0, rows), walk,
+                    np.empty(draw_rows * length))
+        assert np.array_equal(
+            walk, _reference_states(chain, nu, length, seed, rows))
 
 
 def test_path_tables_are_built_once_on_first_use_and_freed(monkeypatch):
     builds = []
 
-    def counted(k, _build=chains._path_table):
-        builds.append(len(k))
-        return _build(k)
+    def counted(chain, _build=chains._path_table):
+        builds.append(chain.size)
+        return _build(chain)
 
     monkeypatch.setattr(chains, "_path_table", counted)
     model = make_chain("lazy-cycle-50")

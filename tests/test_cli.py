@@ -376,9 +376,10 @@ class TestSimulate:
                                                                       "")
         model = make_chain("two-state")
         f = np.array([float(v) for v in values.split(",")])
-        states = chains._batch_states(model.chain, model.nu,
-                                      _ReplicationStreams(8, 0, 300)
-                                      .uniforms(43))
+        states = np.empty((300, 43), dtype=model.chain._state_dtype)
+        chains._level_steps(model.chain, model.nu,
+                            _ReplicationStreams(8, 0, 300).uniforms(43),
+                            states)
         e1_hat = np.mean(np.abs(f[states][:, 3:].mean(axis=1)
                                 - model.expectation(f)))
         row, = parse_csv(out)
@@ -396,18 +397,33 @@ class TestSimulate:
         values = json.loads(out)["values"]
         assert set(map(type, values)) == {float} and 3.0 in values
 
-    @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3"])
+    # lazy-cycle-50's walk steps through the path table, and the dense
+    # chain's is a level walk of more than 64 steps on a chain with none
+    @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-3",
+                                      "lazy-cycle-50", "dense-40.json"])
     @pytest.mark.parametrize("seed", [7, 2024])
-    def test_trajectory_is_replication_zero_of_the_api(self, capsys, name,
-                                                       seed):
-        model = make_chain(name)
-        states = model.batch_values(np.arange(model.chain.size), 12,
-                                    _ReplicationStreams(seed, 0, 1))[0]
+    def test_trajectory_is_replication_zero_of_the_api(self, capsys,
+                                                       tmp_path, name, seed):
+        n = 12 if name in ("two-state", "lazy-cycle-3") else 300
+        if name.endswith(".json"):
+            weights = np.random.default_rng(3).random((40, 40))
+            weights += weights.T
+            name = str(tmp_path / name)
+            with open(name, "w") as handle:
+                json.dump({"matrix": (weights / weights.sum(
+                    axis=1, keepdims=True)).tolist()}, handle)
+        model = validate.resolve_model(name)
+        assert (model._walk_table(n) is not None) == (name == "lazy-cycle-50")
+        # the states by the level-table loop, whichever route the walk takes
+        states = np.empty((1, n), dtype=model.chain._state_dtype)
+        chains._level_steps(model.chain, model.nu,
+                            _ReplicationStreams(seed, 0, 1).uniforms(n),
+                            states)
         code, out, _ = run_cli(
-            capsys, "simulate", "--chain", name, "--n", "12", "--trajectory",
-            "--seed", str(seed), "--format", "json")
+            capsys, "simulate", "--chain", name, "--n", str(n),
+            "--trajectory", "--seed", str(seed), "--format", "json")
         assert code == 0
-        assert json.loads(out)["values"] == states.astype(float).tolist()
+        assert json.loads(out)["values"] == states[0].astype(float).tolist()
 
     def test_wrong_f_length_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -34,7 +34,6 @@ from mcmc_budget.chains import (
     IidUniformSampler,
     InitialDistribution,
     SingularFunction,
-    _batch_states,
     _ReplicationStreams,
     finite_model,
     make_chain,
@@ -85,14 +84,22 @@ def reversible_chains(draw, max_size):
                                                          keepdims=True))
 
 
+def level_walk(model, length, streams):
+    """The states by the level-table loop, one draw at a time, whatever
+    the walk's length."""
+    walk = np.empty((len(streams), length), dtype=model.chain._state_dtype)
+    chains._level_steps(model.chain, model.nu, streams.uniforms(length),
+                        walk)
+    return walk
+
+
 def reference_deviations(model, f, windows, replications, seed):
     """``|S - mu|`` by the definition: the mean of ``f`` over each window
     of the float walk ``f[states]``."""
     f = np.asarray(f, dtype=float)
     length = max(n + n0 for n, n0 in windows)
-    states = _batch_states(model.chain, model.nu, _ReplicationStreams(
-        seed, 0, replications).uniforms(length))
-    walk = f[states]
+    walk = f[level_walk(model, length,
+                        _ReplicationStreams(seed, 0, replications))]
     mu = model.expectation(f)
     return np.array([np.abs(walk[:, n0:n0 + n].mean(axis=1) - mu)
                      for n, n0 in windows])
@@ -243,8 +250,8 @@ class TestIntegerWalks:
             int(np.argmin(chain.stationary)), chain) if point_mass
             else InitialDistribution.stationary(chain))
         model = finite_model(chain, nu)
-        walk = model.batch_values(f, 3, _ReplicationStreams(seed, 0, 2))
-        assert walk.dtype == np.int64
+        table = model._value_table(f, max(n + n0 for n, n0 in windows))
+        assert table is None or table.dtype == np.int64
         reference = reference_deviations(model, f, windows, replications,
                                          seed)
         got = _deviations(model, f, windows, replications, seed,
@@ -260,10 +267,8 @@ class TestIntegerWalks:
         # 1e300 is an integer too large for int64: a cast would raise a
         # RuntimeWarning, which the test configuration makes an error
         model = two_state_model(nu_state=1)
-        walk = model.batch_values(np.array(f), 2,
-                                  _ReplicationStreams(4, 0, 3))
-        assert walk.dtype == np.float64
         windows = [(1, 0), (7, 3), (30, 0)]
+        assert model._value_table(np.array(f), 30).dtype == np.float64
         reference = reference_deviations(model, f, windows, 50, 4)
         got = _deviations(model, np.array(f), windows, 50, 4, chunk_elements)
         assert got.tobytes() == reference.tobytes()
@@ -451,22 +456,12 @@ class TestRowBlocks:
 
 
 def byte_walk(model, length, streams, draw_rows):
-    """The states of ``batch_values`` on an integer block, drawn through a
+    """The states of ``model._walk`` on an integer block, drawn through a
     float buffer of ``draw_rows`` rows."""
-    walk = np.empty((len(streams), length), dtype=model._walk_dtype(length))
-    got = model.batch_values(None, length, streams, out=walk,
-                             draws=np.empty(draw_rows * length))
+    walk = np.empty((len(streams), length), dtype=model.chain._state_dtype)
+    got = model._walk(length, streams, walk, np.empty(draw_rows * length))
     assert got is walk
     return walk
-
-
-def level_walk(model, length, streams):
-    """The states by the level-table loop, one draw at a time, whatever
-    the walk's length."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chains, "_PATH_MIN_COLUMNS", 2**62)
-        return _batch_states(model.chain, model.nu,
-                             streams.uniforms(length))
 
 
 def rank_byte_chain():
@@ -495,7 +490,8 @@ class TestByteWalks:
             else InitialDistribution.stationary(chain))
         model = FiniteChainModel("random", chain, nu)
         length = data.draw(st.sampled_from([65, 66, 257, 600]))
-        assert model._walk_dtype(length) == np.uint8
+        assert model.chain._state_dtype == np.uint8
+        assert model._walk_table(length) is chain._paths is not None
         rows = data.draw(st.integers(1, 9))
         streams = _ReplicationStreams(data.draw(st.integers(0, 2**32)), 0,
                                       rows)
@@ -506,8 +502,9 @@ class TestByteWalks:
     def test_two_byte_states(self):
         model = make_chain("lazy-cycle-300")
         assert (model.chain._paths.radix, model.chain._paths.steps) == (5, 3)
-        assert model._walk_dtype(1000) == np.uint16
-        assert model._walk_dtype(64) is None
+        assert model.chain._state_dtype == np.uint16
+        assert model._walk_table(1000) is model.chain._paths
+        assert model._walk_table(64) is None
         streams = _ReplicationStreams(12, 0, 6)
         walk = byte_walk(model, 1000, streams, 4)
         assert walk.max() > 255
@@ -520,7 +517,8 @@ class TestByteWalks:
         assert (chain._paths.radix, chain._paths.steps) == (256, 2)
         model = FiniteChainModel("rank-byte", chain,
                                  InitialDistribution.stationary(chain))
-        assert model._walk_dtype(300) == np.uint8
+        assert chain._state_dtype == np.uint8
+        assert model._walk_table(300) is chain._paths
         streams = _ReplicationStreams(3, 0, 40)
         ranks = np.empty((40, 300), dtype=np.uint8)
         chains._draw_ranks(chain, model.nu, streams.uniforms(300), ranks)

@@ -22,11 +22,10 @@ from a numpy Philox block function, whose first round is in closed form
 (a block's counter has one nonzero word) and whose other nine rounds
 write into buffers reused across rounds.  Longer rows are drawn one at a time by a generator
 re-keyed per row; a row depends only on its key.  Samplers fill their rows
-serially: the estimator splits the replications into contiguous row
-slices, one per core (:func:`_over_row_slices`), and each core draws,
-steps and reduces its rows a block at a time in a buffer of its own, so
-that no matrix of every row is built and the bytes do not depend on the
-core count.
+serially, in the buffers they are given: the estimator owns the row
+blocks (it splits the replications into one slice per core, sizes and
+allocates each slice's buffers and runs the slices), so this module only
+derives streams, draws and steps.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
@@ -42,9 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -241,61 +238,6 @@ def _philox_uniforms(keys: np.ndarray, width: int,
         np.multiply(words.reshape(rows, -1)[:, :width] >> _U11, 2.0**-53,
                     out=draws[start:start + rows])
     return draws
-
-
-def _worker_count() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _over_row_slices(work, rows: int, width: int = 0, block_rows: int = 1,
-                     threaded: bool = True, dtype=np.float64,
-                     draw_rows: int = 0) -> None:
-    """Run ``work(start, stop, buffer)`` on contiguous slices covering rows
-    ``0 .. rows-1``: one slice per core, all at the same time, or one slice
-    on the calling thread when not ``threaded``.
-
-    ``buffer`` is a flat array of ``block_rows`` rows (at most the largest
-    slice's rows) of ``width`` values of ``dtype`` that only that slice
-    uses.  With ``draw_rows``, ``work`` also gets a float buffer of that
-    many rows (at most ``block_rows``) as a fourth argument.  Both are
-    allocated (by :func:`_empty_rows`, the float one first) before any
-    thread starts.  The calling thread runs the first slice and a new
-    thread each of the others; numpy releases the interpreter lock in the
-    draws, the stepping, the integrand and the sums, so the slices run on
-    separate cores.  ``work`` must write only its own rows and read
-    nothing another slice writes.  Once every slice has finished, the
-    exception of the first slice that raised one is raised, so a caller
-    never gets a partly filled matrix.
-    """
-    workers = max(1, min(_worker_count(), rows)) if threaded else 1
-    bounds = [rows * k // workers for k in range(workers + 1)]
-    held = min(block_rows, -(-rows // workers))
-    drawn = min(draw_rows, held)
-    draws = _empty_rows(workers * drawn, width).reshape(workers, -1)
-    buffers = _empty_rows(workers * held, width, dtype).reshape(workers, -1)
-    errors = [None] * workers
-
-    def run(slice_no: int) -> None:
-        try:
-            work(bounds[slice_no], bounds[slice_no + 1], buffers[slice_no],
-                 *([draws[slice_no]] if drawn else []))
-        except BaseException as exc:   # raised in the calling thread below
-            errors[slice_no] = exc
-
-    threads = [threading.Thread(target=run, args=(k,))
-               for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def _empty_rows(rows: int, width: int, dtype=np.float64) -> np.ndarray:
@@ -1036,19 +978,12 @@ class FiniteChainModel:
             _table_steps(table, out)
         return out
 
-    def _value_table(self, f_values, length: int):
+    def _value_table(self, f_values):
         """The values ``f`` takes at each state, as the walk's values are
         taken from it: None when they are the states (``f`` is
-        ``arange(S)``), int64 when ``f`` is integer-valued and every walk
-        sum stays below ``2**53`` in magnitude, so that its partial sums
-        are exact, and float64 otherwise."""
+        ``arange(S)``), and float64 otherwise."""
         f = np.asarray(f_values, dtype=float)
-        if not (np.array_equal(f, np.round(f))
-                and float(np.abs(f).max()) < 2.0**53 / length):
-            return f
-        if np.array_equal(f, np.arange(f.size)):
-            return None
-        return f.astype(np.int64)
+        return None if np.array_equal(f, np.arange(f.size)) else f
 
     def batch_values(self, f_values, length: int, streams) -> np.ndarray:
         """``f``'s values along each replication's walk, one float row per

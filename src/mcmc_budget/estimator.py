@@ -4,15 +4,16 @@ The estimand is e1 = E|S - mu| where S is the burn-in-discarded time
 average of f along the chain and mu the exact stationary expectation
 supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
-bit-identical however the work is chunked or threaded.  Every model's rows
-are drawn, stepped and reduced a block at a time on every core, in
-buffers of each core's own, with no matrix of every walk.  A walk on a
-finite chain is held as one byte a step (two on chains of more than 256
-states), and its interpreted stepping loop runs once per block.  An
-integer-valued f on a finite chain is reduced from exact partial sums of
-its integer walk, taken segment by segment in int64 accumulators, which
-gives the window means bit for bit without a float or int64 copy of the
-walk.
+bit-identical however the work is chunked or threaded.  The estimator
+owns the row blocks: it splits the replications into one slice per core,
+sizes and allocates each slice's buffers, and runs the slices, whose
+models draw, step and reduce their rows a block at a time, with no matrix
+of every walk.  A walk on a finite chain is held as one byte a step (two
+on chains of more than 256 states), and its interpreted stepping loop
+runs once per block.  Its values take one of two routes: f = arange(S) is
+reduced from exact int64 partial sums of the walk itself, and any other f
+from its float64 values at the walk's states, whose sums of integers are
+exact; both give the window means bit for bit.
 
 Because |S - mu| itself can have infinite variance in the heavy-tailed
 regimes under study, the spread of the estimate is reported as half the
@@ -21,15 +22,16 @@ instead of a standard error.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import (
-    _PHILOX_MAX_WIDTH,
     FiniteChainModel,
     IidUniformSampler,
-    _over_row_slices,
+    _empty_rows,
     _ReplicationStreams,
 )
 from .exceptions import DomainError, NumericalError
@@ -108,38 +110,51 @@ def _check_window(n: int, n0: int) -> None:
         raise DomainError("n0 must be nonnegative")
 
 
+def _worker_count() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _deviations(model, f, windows, replications: int, master_seed: int,
                 chunk_elements: int) -> np.ndarray:
     """``|S - mu|`` per window (row) and replication (column).
 
     One walk of ``max(n + n0)`` steps per replication serves every window:
     a shorter trajectory is a prefix of a longer one on the same stream.
-    The replications are split into one contiguous row slice per core
-    (``chains._over_row_slices``), each with buffers of its own.  A slice
+    This function owns the row blocks.  It splits the replications into
+    one contiguous row slice per core, sizes each slice's block, allocates
+    every slice's buffers before any thread starts, and runs the first
+    slice on the calling thread and each other one on a thread of its
+    own; numpy releases the interpreter lock in the draws, the stepping,
+    the integrand and the sums.  Once every slice has finished, the
+    exception of the first slice that raised one is raised.  A slice
     derives its streams' keys at least :data:`_KEY_BLOCK` rows at a time,
     and for each block of rows has the model draw, step and transform the
     block in its buffer (``batch_values``, or ``FiniteChainModel._walk``
     on a finite chain), then reduces every window into the block's own
     columns.  A block holds at most ``chunk_elements`` values, and at most
     :data:`_WALK_BYTES` bytes on a walk or :data:`_DRAW_BLOCK` uniforms on
-    ``iid-uniform``, or one row if wider.
-    The rows run on one slice, on the calling thread, unless they are at
-    least :data:`_THREADED_WIDTH` uniforms wide and, on a walk, a block
-    holds at least :data:`_THREADED_WALK_ROWS` of them.  A row depends
-    only on its stream, so the bytes do not depend on the core count or
-    the block size.
+    ``iid-uniform``, or one row if wider.  The rows run on one slice, on
+    the calling thread, unless they are at least :data:`_THREADED_WIDTH`
+    uniforms wide and, on a walk, a slice's block holds at least
+    :data:`_THREADED_WALK_ROWS` of them.  A row depends only on its
+    stream, so the bytes do not depend on the core count or the block
+    size.
 
-    A finite walk is held as integer states in the block
-    (``FiniteChainModel._walk``), its uniforms drawn through a float
-    buffer: the whole block's for a walk by the level-table loop, which
-    runs once per fill, and at most :data:`_DRAW_BLOCK` values, a few rows
-    at a time, for a walk through a path table, whose block is then
-    capped at :data:`_WALK_BYTES` of states.  Unless ``f`` is
-    ``arange(S)``, its values at those states are taken into the float
-    buffer a fill at a time.  An integer walk or integer values are
-    reduced by :func:`_window_deviations`; float values window by window
-    with ``np.mean``, where a sum that overflows gives an infinite
-    deviation, which :func:`_estimates` refuses.
+    A finite walk is held as integer states in the block, its uniforms
+    drawn through a float buffer: the whole block's for a walk by the
+    level-table loop, which runs once per fill, and at most
+    :data:`_DRAW_BLOCK` values, a few rows at a time, for a walk through a
+    path table, whose block is then capped at :data:`_WALK_BYTES` of
+    states.  When ``f`` is ``arange(S)`` the walk is reduced by
+    :func:`_window_deviations`; otherwise ``f``'s float values at its
+    states are taken into the float buffer a fill at a time.  Float
+    values are reduced window by window with ``np.mean``, where a sum that
+    overflows gives an infinite deviation, which :func:`_estimates`
+    refuses.
     """
     if not windows:
         raise DomainError("at least one window is required")
@@ -158,32 +173,33 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     finite = isinstance(model, FiniteChainModel)
     table = finite and model._walk_table(length) is not None
     dtype = model.chain._state_dtype if finite else np.float64
-    cap = int(chunk_elements)
-    if table:
-        cap = min(cap, _WALK_BYTES // dtype.itemsize)
-    elif width > _PHILOX_MAX_WIDTH:
-        cap = min(cap, _DRAW_BLOCK if iid else _WALK_BYTES // 8)
-    rows = max(1, cap // width)
-    threaded = width >= _THREADED_WIDTH and (
-        iid or rows >= _THREADED_WALK_ROWS)
+    cap = _WALK_BYTES // dtype.itemsize if table \
+        else _DRAW_BLOCK if iid else _WALK_BYTES // 8
+    capacity = max(1, min(int(chunk_elements), cap) // width)
+    # `rows`: what a slice's block holds, which the threading rule counts
+    workers = max(1, min(_worker_count(), replications))
+    rows = min(capacity, -(-replications // workers))
+    if width < _THREADED_WIDTH or not iid and rows < _THREADED_WALK_ROWS:
+        workers, rows = 1, min(capacity, replications)
+    bounds = [replications * k // workers for k in range(workers + 1)]
     key_rows = rows * -(-_KEY_BLOCK // rows)
     # a level walk's fill is its whole block, so that its stepping loop
     # runs once per block: fills of 2**17 values took a dense 40-state
     # chain at 4000 x 1000 from 0.30 to 0.94 s on a 2-core Xeon
-    draw_rows = 0
+    fill_rows = 0
     if finite:
-        draw_rows = max(1, _DRAW_BLOCK // width) if table else rows
-    values_of = model._value_table(f, length) if finite else None
+        fill_rows = min(max(1, _DRAW_BLOCK // width), rows) if table else rows
+    # every slice's buffers, the float one first, before any thread starts
+    fills = _empty_rows(workers * fill_rows, width).reshape(workers, -1)
+    blocks = _empty_rows(workers * rows, width, dtype).reshape(workers, -1)
+    values_of = model._value_table(f) if finite else None
 
     def reduce_values(values: np.ndarray, out: np.ndarray) -> None:
-        if values.dtype.kind != "f":
-            _window_deviations(values, windows, mu, out)
-            return
         for k, (n, n0) in enumerate(windows):
             out[k] = np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
 
     def reduce(start: int, stop: int, buffer: np.ndarray,
-               draws: np.ndarray | None = None) -> None:
+               draws: np.ndarray) -> None:
         for first in range(start, stop, key_rows):
             streams = _ReplicationStreams(master_seed, first,
                                           min(first + key_rows, stop))
@@ -191,32 +207,44 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
                 part = streams[offset:offset + rows]
                 out = deviations[:, first + offset:first + offset + len(part)]
                 block = buffer[:len(part) * width].reshape(len(part), width)
-                if draws is None:
+                if not finite:
                     reduce_values(model.batch_values(f, length, part,
                                                      out=block), out)
                     continue
                 walk = model._walk(length, part, block, draws)
                 if values_of is None:
-                    reduce_values(walk, out)
+                    _window_deviations(walk, windows, mu, out)
                     continue
                 # f's values, a fill at a time in the draw buffer
-                for row in range(0, len(part), draw_rows):
-                    states = walk[row:row + draw_rows]
+                for row in range(0, len(part), fill_rows):
+                    states = walk[row:row + fill_rows]
                     values = values_of.take(states, mode="clip", out=draws[
-                        :states.size].view(values_of.dtype).reshape(
-                            states.shape))
-                    reduce_values(values, out[:, row:row + draw_rows])
+                        :states.size].reshape(states.shape))
+                    reduce_values(values, out[:, row:row + fill_rows])
 
-    def reduce_slice(start: int, stop: int, buffer: np.ndarray,
-                     *draws: np.ndarray) -> None:
-        # numpy's error state is per thread, so each slice sets its own: a
-        # window sum that overflows is an infinite deviation, which
-        # _estimates refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            reduce(start, stop, buffer, *draws)
+    errors = [None] * workers
 
-    _over_row_slices(reduce_slice, replications, width, rows, threaded,
-                     dtype, draw_rows)
+    def run(k: int) -> None:
+        try:
+            # numpy's error state is per thread, so each slice sets its
+            # own: a window sum that overflows is an infinite deviation,
+            # which _estimates refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                reduce(bounds[k], bounds[k + 1], blocks[k], fills[k])
+        except BaseException as exc:   # raised in the calling thread below
+            errors[k] = exc
+
+    # the calling thread runs the first slice and a new thread each other
+    threads = [threading.Thread(target=run, args=(k,))
+               for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return deviations
 
 

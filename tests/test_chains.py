@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import gc
 import importlib
+import itertools
 import json
 import math
 import pkgutil
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -41,7 +43,6 @@ from mcmc_budget.chains import (
     uniform_ergodicity_constants,
 )
 from mcmc_budget.chains import (
-    _over_row_slices,
     _philox_uniforms,
     _ReplicationStreams,
     _stream_keys,
@@ -617,7 +618,7 @@ def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+            monkeypatch.setattr(estimator, "_worker_count", lambda: workers)
             outputs[workers] = [
                 streams.uniforms(17), streams.uniforms(1000),
                 IidUniformSampler().batch_values(SingularFunction(0.65),
@@ -634,7 +635,7 @@ def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows):
 
 
 def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):
-    monkeypatch.setattr(chains, "_worker_count", lambda: 3)
+    monkeypatch.setattr(estimator, "_worker_count", lambda: 3)
     caller = threading.get_ident()
     threads_before = threading.active_count()
 
@@ -653,34 +654,60 @@ def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):
     assert returned == []
     assert threading.active_count() == threads_before
 
-    # every slice finishes first, and the first slice that failed is raised
+    # every slice finishes first, and the first slice that failed is raised:
+    # the slices hold rows 0..1, 2..3 and 4..6; the second fails at once,
+    # the third late
+    replication = {tuple(key): r
+                   for r, key in enumerate(_stream_keys(7, 0, 7).tolist())}
     finished = []
 
-    def work(start, stop, buffer):
-        if start:
-            raise LookupError(f"rows {start}..{stop - 1}")
-        finished.append((start, stop))
+    def batch_values(self, f, length, streams, out=None):
+        rows = [replication[tuple(key)] for key in streams.keys.tolist()]
+        if rows[0] == 4:
+            time.sleep(0.05)
+        finished.append(rows[0])
+        if rows[0]:
+            raise LookupError(f"rows {rows[0]}..{rows[-1]}")
+        out[...] = 0.5
+        return out
 
+    monkeypatch.setattr(IidUniformSampler, "batch_values", batch_values)
     with pytest.raises(LookupError, match=r"rows 2\.\.3"):
-        _over_row_slices(work, 7)
-    assert finished == [(0, 2)]
+        estimate_e1_windows(IidUniformSampler(), SingularFunction(0.5),
+                            [(1000, 0)], 7, 7)
+    assert sorted(finished) == [0, 2, 4]
     assert threading.active_count() == threads_before
 
 
 def test_every_row_slice_gets_its_own_buffer(monkeypatch):
-    monkeypatch.setattr(chains, "_worker_count", lambda: 3)
-    seen = {}
+    # 7 replications over 3 cores: slices of 2, 2 and 3 rows, each with a
+    # block of its rows, and on a walk a float fill buffer, of its own
+    monkeypatch.setattr(estimator, "_worker_count", lambda: 3)
+    monkeypatch.setattr(estimator, "_THREADED_WALK_ROWS", 1)
+    seen = []
 
-    def work(start, stop, buffer):
-        buffer[:] = start
-        seen[start] = (stop, buffer)
+    def batch_values(self, f, length, streams, out=None,
+                     _batch_values=IidUniformSampler.batch_values):
+        seen.append((len(streams), out))
+        return _batch_values(self, f, length, streams, out)
 
-    _over_row_slices(work, 7, 5)
-    assert sorted((start, stop) for start, (stop, _) in seen.items()) == \
-        [(0, 2), (2, 4), (4, 7)]
-    for start, (_, buffer) in seen.items():
-        assert buffer.shape == (5,)
-        assert (buffer == start).all()
+    def walk(self, length, streams, out, draws,
+             _walk=FiniteChainModel._walk):
+        seen.append((len(streams), out, draws))
+        return _walk(self, length, streams, out, draws)
+
+    monkeypatch.setattr(IidUniformSampler, "batch_values", batch_values)
+    monkeypatch.setattr(FiniteChainModel, "_walk", walk)
+    for model, f in ((IidUniformSampler(), SingularFunction(0.5)),
+                     (make_chain("two-state"), np.array([0.0, 1.0]))):
+        seen.clear()
+        estimate_e1_windows(model, f, [(1000, 0)], 7, 7)
+        assert sorted(rows for rows, *_ in seen) == [2, 2, 3]
+        for rows, *buffers in seen:
+            assert buffers[0].shape == (rows, 1000)
+        for (_, *mine), (_, *theirs) in itertools.combinations(seen, 2):
+            for a, b in itertools.product(mine, theirs):
+                assert not np.shares_memory(a, b)
 
 
 def _reference_states(chain, nu, length, master_seed, rows):
@@ -934,7 +961,7 @@ class TestLevelWalks:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_the_loop_runs_once_per_block(self, monkeypatch, workers):
-        monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+        monkeypatch.setattr(estimator, "_worker_count", lambda: workers)
         blocks, fills = [], []
 
         def walk(model, length, streams, out, draws,

@@ -366,7 +366,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("values", ["0,3", "0,0.5"])
     def test_integer_and_float_f_agree_across_chunking(self, capsys, values):
-        # --f 0,3 is reduced from an integer walk, --f 0,0.5 from a float
+        # --f 0,3 is an integer f other than the states, --f 0,0.5 a float
         # one; both must print the float definition at any chunking
         argv = ("simulate", "--chain", "two-state", "--f", values, "--n",
                 "40", "--n0", "3", "--replications", "300", "--seed", "8")
@@ -461,8 +461,8 @@ class TestSimulate:
         assert (code, out, err) == (3 if stderr else 0, stdout, stderr)
 
     def test_integer_values_near_the_float_limit_do_not_warn(self, capsys):
-        # max|f| times the walk length overflows a float, so the check for
-        # an exact integer walk compares max|f| with 2**53 / length instead
+        # max|f| times the walk length overflows a float; no step of the
+        # value route may compute that product
         code, out, err = run_cli(capsys, "simulate", "--chain", "two-state",
                                  "--n", "3", "--f", "1e308,0",
                                  "--replications", "2")

@@ -220,8 +220,10 @@ class TestEstimateE1Windows:
 
 
 class TestIntegerWalks:
-    """An integer-valued ``f`` is reduced from exact partial sums of an
-    int64 walk; the results must be those of the float definition."""
+    """``f = arange(S)`` is reduced from exact int64 partial sums of the
+    integer walk, and any other ``f`` from its float64 values, whose sums
+    of integers are exact; the results must be those of the float
+    definition."""
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -232,7 +234,7 @@ class TestIntegerWalks:
                                                    point_mass,
                                                    chunk_elements):
         # walks are at most 60 long, so |f| <= 2**47 keeps every partial
-        # sum below 2**53: the widest values the integer route takes
+        # sum below 2**53, where a float sum of integers is exact
         size = chain.size
         f = np.array(data.draw(st.one_of(
             st.just(list(range(size))),
@@ -250,8 +252,11 @@ class TestIntegerWalks:
             int(np.argmin(chain.stationary)), chain) if point_mass
             else InitialDistribution.stationary(chain))
         model = finite_model(chain, nu)
-        table = model._value_table(f, max(n + n0 for n, n0 in windows))
-        assert table is None or table.dtype == np.int64
+        table = model._value_table(f)
+        if np.array_equal(f, np.arange(size)):
+            assert table is None
+        else:
+            assert table.dtype == np.float64
         reference = reference_deviations(model, f, windows, replications,
                                          seed)
         got = _deviations(model, f, windows, replications, seed,
@@ -268,7 +273,7 @@ class TestIntegerWalks:
         # RuntimeWarning, which the test configuration makes an error
         model = two_state_model(nu_state=1)
         windows = [(1, 0), (7, 3), (30, 0)]
-        assert model._value_table(np.array(f), 30).dtype == np.float64
+        assert model._value_table(np.array(f)).dtype == np.float64
         reference = reference_deviations(model, f, windows, 50, 4)
         got = _deviations(model, np.array(f), windows, 50, 4, chunk_elements)
         assert got.tobytes() == reference.tobytes()
@@ -316,7 +321,7 @@ class TestIidRows:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bit_identical_to_the_rows_of_batch_values(
             self, monkeypatch, windows, replications, workers):
-        monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+        monkeypatch.setattr(estimator, "_worker_count", lambda: workers)
         # rows of every width on every slice, as the wide ones run
         monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
         reference = self.reference(windows, replications, 29)
@@ -332,7 +337,7 @@ class TestIidRows:
         monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
         outputs = set()
         for workers in (1, 2, 3):
-            monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+            monkeypatch.setattr(estimator, "_worker_count", lambda: workers)
             for chunk_elements in (1, 123457, DEFAULT_CHUNK_ELEMENTS):
                 outputs.add(_deviations(IidUniformSampler(), self.F, windows,
                                         101, 1729, chunk_elements).tobytes())
@@ -341,7 +346,7 @@ class TestIidRows:
     def test_a_rate_run_holds_no_chunk_matrix(self, monkeypatch):
         # a cap of 200 rows of 10**5 values lets the chunk path draw all
         # 200 at once: a 160 MB matrix; the row path holds one per core
-        monkeypatch.setattr(chains, "_worker_count", lambda: 2)
+        monkeypatch.setattr(estimator, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             estimate_e1_windows(IidUniformSampler(), self.F,
@@ -377,8 +382,8 @@ class TestRowBlocks:
         # integer values other than the states, taken a few rows at a time
         "two-state-int-f": ("two-state", np.array([-3.0, 7.0]),
                             [(10, 0), (3000, 4)], 101),
-        # the widest integer values the int64 route takes over 3004 steps,
-        # and the narrowest the float route takes
+        # integer values either side of 2**53 / 3004, where a window sum
+        # of 3004 steps stops being exact in float64
         "two-state-below-2**53": ("two-state",
                                   np.array([0.0, -(-2**53 // 3004) - 1]),
                                   [(10, 0), (3000, 4)], 101),
@@ -403,14 +408,16 @@ class TestRowBlocks:
         name, f, windows, replications = self.CASES[case]
         model = make_chain(name)
         want = self.reference(model, f, windows, replications, 31).tobytes()
-        # rows of every width on every slice, as the wide ones run
+        # rows of every width and slices of every size on every core, as
+        # the wide and long ones run
         monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
+        monkeypatch.setattr(estimator, "_THREADED_WALK_ROWS", 1)
         # more workers than cores, switching threads as often as possible
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(chains, "_worker_count", lambda: workers)
+                monkeypatch.setattr(estimator, "_worker_count", lambda: workers)
                 for chunk_elements in (1, 123457, DEFAULT_CHUNK_ELEMENTS):
                     got = _deviations(model, f, windows, replications, 31,
                                       chunk_elements)
@@ -418,12 +425,29 @@ class TestRowBlocks:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("replications, threads", [(254, 1), (256, 2)])
+    def test_walks_thread_by_the_rows_a_slice_holds(self, monkeypatch,
+                                                    replications, threads):
+        # a block holds up to 799 walks of 10004 steps; two slices of 127
+        # rows run on the calling thread, two of 128 on one thread each
+        monkeypatch.setattr(estimator, "_worker_count", lambda: 2)
+        seen = set()
+
+        def walk(self, *args, _walk=FiniteChainModel._walk):
+            seen.add(threading.get_ident())
+            return _walk(self, *args)
+
+        monkeypatch.setattr(FiniteChainModel, "_walk", walk)
+        estimate_e1_windows(make_chain("two-state"), F01, [(10_000, 4)],
+                            replications, 3)
+        assert len(seen) == threads
+
     def test_a_dominance_run_holds_no_walk_matrix(self, monkeypatch):
         # a cap of 10**7 values would let a chunk loop draw all 1000 walks
         # of 10004 steps at once, an 80 MB float matrix; each of the two
         # cores here holds its 500 walks as one byte a step (5 MB) and a
         # float draw buffer of 2**17 values (1 MB)
-        monkeypatch.setattr(chains, "_worker_count", lambda: 2)
+        monkeypatch.setattr(estimator, "_worker_count", lambda: 2)
         model = make_chain("two-state")
         windows = [(n, 4) for n in (10, 100, 1000, 10_000)]
         tracemalloc.start()
@@ -436,7 +460,9 @@ class TestRowBlocks:
         assert peak < 0.2 * 1000 * 10_004 * 8
 
     def test_a_failing_walk_slice_raises_in_the_caller(self, monkeypatch):
-        monkeypatch.setattr(chains, "_worker_count", lambda: 3)
+        monkeypatch.setattr(estimator, "_worker_count", lambda: 3)
+        # slices of 2 and 3 walks, threaded as slices of 128 would be
+        monkeypatch.setattr(estimator, "_THREADED_WALK_ROWS", 1)
         caller = threading.get_ident()
         threads_before = threading.active_count()
         table_steps = chains._table_steps

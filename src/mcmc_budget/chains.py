@@ -98,7 +98,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 
 
 def _word_hasher(const: int, mult: int):
@@ -128,10 +127,13 @@ def _stream_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
     """Philox keys of replications ``start .. stop-1``, one row each.
 
     Row ``i`` equals ``SeedSequence(entropy=master_seed, spawn_key=(start +
-    i,)).generate_state(2, np.uint64)``.  The master seed's words are
-    hashed into the pool once, as scalars; only the spawn-key word and the
-    output hash run over the replications, as uint32 arrays.  Indices
-    must be below 2**32, where numpy's spawn key is a single word.
+    i,)).generate_state(2, np.uint64)``.  numpy mixes the master seed into
+    the same pool with or without a spawn key (it hashes missing words as
+    zeros either way), so the pool is ``SeedSequence(master_seed).pool``;
+    by then the hash constant has advanced ``4 * max(4, words)`` times for
+    a seed of ``words`` 32-bit words.  Only the spawn-key word and the
+    output hash run over the replications, as uint32 arrays.  Indices must
+    be below 2**32, where numpy's spawn key is a single word.
     """
     if isinstance(master_seed, bool) or \
             not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
@@ -139,22 +141,13 @@ def _stream_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
     master_seed = int(master_seed)
     if not 0 <= start <= stop <= 2**32:
         raise DomainError("replication indices must lie in [0, 2**32)")
-    words = [master_seed & _MASK32]
-    while master_seed > _MASK32:
-        master_seed >>= 32
-        words.append(master_seed & _MASK32)
-    # numpy pads the run entropy to the pool size when a spawn key follows
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_word = _word_hasher(_INIT_A, _MULT_A)
-    pool = [hash_word(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hash_word(pool[src]))
-    # the remaining run-entropy words, then the spawn key: one word, r
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    hashes = 4 * max(len(pool), -(-master_seed.bit_length() // 32))
+    hash_word = _word_hasher(_INIT_A * pow(_MULT_A, hashes, 2**32) & _MASK32,
+                             _MULT_A)
+    # the spawn key: one word, r
     index = np.arange(start, stop, dtype=np.uint32)
-    for word in words[_POOL_SIZE:] + [index]:
-        pool = [_mix(entry, hash_word(word)) for entry in pool]
+    pool = [_mix(entry, hash_word(index)) for entry in pool]
     hash_out = _word_hasher(_INIT_B, _MULT_B)
     out = [hash_out(entry).astype(np.uint64) for entry in pool]
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)

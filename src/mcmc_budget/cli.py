@@ -358,26 +358,20 @@ def cmd_validate(args) -> int:
 # parser
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer, got {text!r}")
-    return seed
+def _integer_flag(least: int):
+    """The argparse type of an integer flag of at least ``least``, 0 or 1."""
+    kind = "nonnegative" if least == 0 else "positive"
 
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _default_seed() -> int:
@@ -385,7 +379,7 @@ def _default_seed() -> int:
     if not raw:
         return _DEFAULT_SEED
     try:
-        return _seed(raw)
+        return _integer_flag(0)(raw)
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"MCMC_BUDGET_SEED {exc}")
 
@@ -394,7 +388,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="JSON file with flag defaults")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write output to this path")
-    parser.add_argument("--seed", type=_seed,
+    parser.add_argument("--seed", type=_integer_flag(0),
                         help="master seed, a nonnegative integer "
                              "(env MCMC_BUDGET_SEED)")
 
@@ -459,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trajectory", action="store_true",
                           help="emit one raw trajectory instead")
     simulate.add_argument("--chunk-elements", dest="chunk_elements",
-                          type=_positive_int, default=DEFAULT_CHUNK_ELEMENTS)
+                          type=_integer_flag(1),
+                          default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(simulate)
     simulate.set_defaults(handler=cmd_simulate)
 
@@ -480,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--gamma", type=float)
     validate.add_argument("--start", choices=("point-mass", "stationary"))
     validate.add_argument("--chunk-elements", dest="chunk_elements",
-                          type=_positive_int, default=DEFAULT_CHUNK_ELEMENTS)
+                          type=_integer_flag(1),
+                          default=DEFAULT_CHUNK_ELEMENTS)
     _add_common(validate)
     validate.set_defaults(handler=cmd_validate)
 

@@ -282,24 +282,18 @@ def _window_deviations(walk: np.ndarray, windows, mu: float,
 def _estimates(deviations: np.ndarray, windows) -> list:
     """One :class:`ErrorEstimate` per row of ``deviations``.
 
-    The spread is half the interquartile range of the means of
-    ``min(20, replications)`` contiguous blocks, split as
-    ``np.array_split`` splits: the first ``replications % blocks`` blocks
-    hold one replication more.  The block means and quartiles of every
-    window are taken in one pass each; a row's figures are bit for bit
-    those of that row on its own.  A mean that is not finite raises
-    :class:`NumericalError`.
+    The spread is half the interquartile range of the means of the
+    ``min(20, replications)`` contiguous blocks of ``np.array_split``: the
+    first ``replications % blocks`` blocks hold one replication more.
+    Each block's means and the quartiles are taken over every window in
+    one pass; a row's figures are bit for bit those of that row on its
+    own.  A mean that is not finite raises :class:`NumericalError`.
     """
     replications = deviations.shape[1]
-    blocks = min(_UNCERTAINTY_BLOCKS, replications)
-    size, longer = divmod(replications, blocks)
-    split = longer * (size + 1)
+    blocks = np.array_split(deviations,
+                            min(_UNCERTAINTY_BLOCKS, replications), axis=1)
     with np.errstate(over="ignore"):   # an overflow is refused below
-        means = np.concatenate([
-            deviations[:, :split].reshape(len(deviations), longer, size + 1)
-            .mean(axis=2),
-            deviations[:, split:].reshape(len(deviations), blocks - longer,
-                                          size).mean(axis=2)], axis=1)
+        means = np.stack([block.mean(axis=1) for block in blocks], axis=1)
         e1_hat = deviations.mean(axis=1)
     finite = np.isfinite(means).all(axis=1) & np.isfinite(e1_hat)
     if not finite.all():

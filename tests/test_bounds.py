@@ -301,6 +301,12 @@ class TestUniformEndpointBounds:
         assert m1 == 2.0
         assert m2 == pytest.approx(math.sqrt(2.0) / math.sqrt(50.0), rel=1e-14)
 
+    def test_overflowing_transient_is_infinite(self):
+        # 4 * 0.5 * 1e300 * 1e300 passes float64's range in log space
+        chain = make_chain(gap=0.5, alpha=0.5, big_m=1e300, dratio=1e300)
+        m1, _ = uniform_endpoint_bounds(100, 1, chain)
+        assert m1 == math.inf
+
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             uniform_endpoint_bounds(10, 0, ChainParams(gap=0.5, dratio=1.0))
@@ -462,6 +468,15 @@ class TestRefinedUniformBound:
         want = m1 ** (1.0 / 3.0) * m2 ** (2.0 / 3.0)
         got = refined_uniform_bound(10**4, 10, chain, p=1.5)
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_huge_m1_is_combined_in_log_space(self):
+        # at n0 = 0, m1 = 2 + 4 * 1e8 * 1e8 passes the log-space threshold
+        chain = make_chain(gap=0.5, alpha=0.5, big_m=1e8, dratio=1e8)
+        m1, m2 = uniform_endpoint_bounds(100, 0, chain)
+        assert m1 > 1e15
+        want = m1 ** (1.0 / 3.0) * m2 ** (2.0 / 3.0)
+        got = refined_uniform_bound(100, 0, chain, p=1.5)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_domain_error(self):
         chain = make_chain()

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import pkgutil
-import sys
 import threading
 import time
 import tracemalloc
@@ -597,8 +596,10 @@ def test_uniform_draws_rows_are_the_replication_streams(width):
 @pytest.mark.parametrize("width", [1, 8, 16, 17, 1000])
 def test_rekeyed_streams_are_the_seed_sequence_streams(width):
     # one row more than a row slice of the block function, which serves up
-    # to 16 draws; wider rows come from the re-keyed generator
-    for start, stop in ((5, 17), (0, chains._PHILOX_SLICE + 1)):
+    # to 16 draws; wider rows come from the re-keyed generator.  A row
+    # depends only on its key, however few rows are drawn with it
+    for start, stop in ((5, 17), (0, chains._PHILOX_SLICE + 1),
+                        (3, 4), (3, 5), (3, 10)):
         streams = _ReplicationStreams(2024, start, stop)
         assert len(streams) == stop - start
         draws = streams.uniforms(width)
@@ -606,32 +607,6 @@ def test_rekeyed_streams_are_the_seed_sequence_streams(width):
         for r, row in zip(range(start, stop), draws):
             assert np.array_equal(row,
                                   _seed_sequence_rng(2024, r).random(width))
-
-
-@pytest.mark.parametrize("rows", [1, 2, 7])
-def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows):
-    # 1 and 2 rows are fewer than 2 or 3 workers; 7 rows split unevenly
-    streams = _ReplicationStreams(2024, 3, 3 + rows)
-    outputs = {}
-    # more workers than cores, switching threads as often as possible
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_worker_count", lambda: workers)
-            outputs[workers] = [
-                streams.uniforms(17), streams.uniforms(1000),
-                IidUniformSampler().batch_values(SingularFunction(0.65),
-                                                 1000, streams),
-                IndepMHSampler(PowerLawDensity(1.0)).batch_values(
-                    SingularFunction(0.5), 300, streams)]
-    finally:
-        sys.setswitchinterval(interval)
-    for workers in (2, 3):
-        for got, want in zip(outputs[workers], outputs[1]):
-            assert got.tobytes() == want.tobytes()
-    for r, row in zip(range(3, 3 + rows), outputs[3][1]):
-        assert np.array_equal(row, _seed_sequence_rng(2024, r).random(1000))
 
 
 def test_a_failing_worker_slice_raises_in_the_caller(monkeypatch):

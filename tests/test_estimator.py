@@ -790,6 +790,12 @@ class TestRateRegression:
         assert fit.intercept == pytest.approx(math.log(3.0), rel=1e-12)
         assert isinstance(fit, RateFit)
 
+    def test_equal_errors_fit_exactly(self):
+        # no spread in log error: the flat line explains all of it
+        fit = rate_regression([(n, 0.25) for n in (10, 100, 1000, 10000)])
+        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit.r_squared == 1.0
+
     def test_needs_four_points(self):
         with pytest.raises(DomainError):
             rate_regression([(10, 1.0), (100, 0.5), (1000, 0.25)])

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from mcmc_budget.chains import (InitialDistribution, SingularFunction,
-                                finite_model, make_chain)
+from mcmc_budget.chains import (FiniteChain, InitialDistribution,
+                                SingularFunction, finite_model, make_chain)
 from mcmc_budget import chains, validate
 from mcmc_budget.estimator import estimate_e1, exact_e1_small
 from mcmc_budget.exceptions import ChainValidationError, DomainError
@@ -66,6 +66,18 @@ class TestConstantsSuite:
     def test_rejects_continuous(self):
         with pytest.raises(DomainError, match="finite"):
             constants_suite(chain="iid-uniform")
+
+    def test_detailed_balance_can_fail_on_a_power(self):
+        # pi = pi* + delta * (1, -1) leaves a flow asymmetry of delta * s
+        # in P and delta * s * (2 - s) in P @ P, with s = P01 + P10 = 0.3:
+        # 9e-11 passes the chain's 1e-10 checks, 1.53e-10 does not
+        delta = 9e-11 / 0.3
+        chain = FiniteChain([[0.9, 0.1], [0.2, 0.8]],
+                            [2 / 3 + delta, 1 / 3 - delta], reversible=True)
+        report = constants_suite(finite_model(chain))
+        verdicts = {row.check: row.passed for row in report.rows}
+        assert verdicts["detailed-balance-powers"] is False
+        assert not report.passed
 
     # two-state's ratio scan stops at a distance below the resolution floor,
     # lazy-cycle-50's runs the whole horizon; the certification reads on

@@ -152,11 +152,15 @@ def _pow_scaled(base: float, exponent: float, *factors: float) -> float:
     return math.exp(log_value)
 
 
-def _power_product(m1: float, e1: float, m2: float, e2: float) -> float:
-    """Return ``m1**e1 * m2**e2`` with a log-space fallback for huge bases."""
+def _interpolate(p1: float, p2: float, p: float, m1: float,
+                 m2: float) -> float:
+    """``m1**e1 * m2**e2`` at :func:`interpolated_error_bound`'s exponents,
+    in log space for huge bases; a zero exponent gives a factor of 1."""
+    e1 = (p1 / (p2 - p1)) * (p2 / p - 1.0)
+    e2 = (p2 / (p2 - p1)) * (1.0 - p1 / p)
     if (m1 > _LOG_SCALE_THRESHOLD or m2 > _LOG_SCALE_THRESHOLD) \
             and m1 > 0.0 and m2 > 0.0:
-        log_value = e1 * math.log(m1) + e2 * math.log(m2)
+        log_value = sum(e * math.log(m) for e, m in ((e1, m1), (e2, m2)) if e)
         if log_value >= _EXP_OVERFLOW:
             return math.inf
         return math.exp(log_value)
@@ -338,10 +342,8 @@ def interpolated_error_bound(p1: float, p2: float, p: float,
     _require(1.0 <= p1 < p2, "need 1 <= p1 < p2")
     _require(p1 <= p <= p2, "p must lie in [p1, p2]")
     _require(m1 >= 0.0 and m2 >= 0.0, "endpoint constants must be nonnegative")
-    e1 = (p1 / (p2 - p1)) * (p2 / p - 1.0)
-    e2 = (p2 / (p2 - p1)) * (1.0 - p1 / p)
     q = interpolation_exponent(p1, p2, p)
-    return q, 2.0 * _power_product(m1, e1, m2, e2)
+    return q, 2.0 * _interpolate(p1, p2, p, m1, m2)
 
 
 def riesz_thorin_exponents(p1: float, q1: float, p2: float, q2: float,
@@ -382,14 +384,15 @@ def refined_uniform_bound(n: float, n0: float, chain: ChainParams,
     """Interpolated moment error bound in the uniform regime.
 
     Equals ``m1**(2/p - 1) * m2**(2 - 2/p)`` with the constants from
-    :func:`uniform_endpoint_bounds`; at ``p = 2`` it reduces to ``m2``
-    and as ``p`` decreases to 1 it tends to ``m1``.  With ``n0`` at least
-    :func:`uniform_burnin` it never exceeds :func:`uniform_error_bound`
-    for a unit-norm integrand.
+    :func:`uniform_endpoint_bounds`: half of
+    ``interpolated_error_bound(1, 2, p, m1, m2)``.  At ``p = 2`` it
+    reduces to ``m2`` and as ``p`` decreases to 1 it tends to ``m1``.
+    With ``n0`` at least :func:`uniform_burnin` it never exceeds
+    :func:`uniform_error_bound` for a unit-norm integrand.
     """
     _require(1.0 < p <= 2.0, "p must lie in (1, 2]")
     m1, m2 = uniform_endpoint_bounds(n, n0, chain)
-    return _power_product(m1, 2.0 / p - 1.0, m2, 2.0 - 2.0 / p)
+    return _interpolate(1.0, 2.0, p, m1, m2)
 
 
 def refined_gap_bound(n: float, n0: float, gap: float, dratio: float,
@@ -403,7 +406,6 @@ def refined_gap_bound(n: float, n0: float, gap: float, dratio: float,
     """
     _check_delta(delta)
     _require(1.0 + delta < p <= 2.0, "p must lie in (1 + delta, 2]")
-    m1, m2 = gap_endpoint_bounds(n, n0, gap, dratio,
-                                 1.0 + delta, 2.0 * (1.0 + delta))
-    e1 = 2.0 * (1.0 + delta) / p - 1.0
-    return 2.0 * _power_product(m1, e1, m2, 1.0 - e1)
+    p1 = 1.0 + delta
+    m1, m2 = gap_endpoint_bounds(n, n0, gap, dratio, p1, 2.0 * p1)
+    return 2.0 * _interpolate(p1, 2.0 * p1, p, m1, m2)

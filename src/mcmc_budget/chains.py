@@ -358,6 +358,7 @@ class FiniteChain:
         self.stationary = _frozen_array(pi)
         self.reversible = bool(reversible)
         self._levels, self._counts = _level_table(k)
+        self._tvs: list = []   # worst-start distances read so far
 
     @property
     def size(self) -> int:
@@ -395,25 +396,20 @@ class FiniteChain:
         slem = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-2])))
         return 1.0 - slem
 
-    @cached_property
-    def _tv_scan(self) -> tuple[list, object]:
-        """The worst-start distances read so far, and the
-        :func:`_worst_start_tv` generator of the rest of the horizon."""
-        return [], _worst_start_tv(self.transition, self.stationary,
-                                   _TV_HORIZON)
-
     def _worst_start_tvs(self):
         """Yield ``max_x TV(P^n(x, .), pi)`` for ``n = 1 .. 200``.
 
-        Each matrix power is computed once per chain, on first read, and
-        its distance kept: :attr:`_decay` reads as far as its ratio scan
-        goes, and the constants suite reads the whole horizon.
+        The chain keeps a list of the distances read so far and the last
+        matrix power, which a read extends, so each power is computed once
+        per chain, as far as :attr:`_decay` or the constants suite reads.
         """
-        seen, rest = self._tv_scan
-        yield from seen
-        for tv in rest:
-            seen.append(tv)
-            yield tv
+        for n in range(_TV_HORIZON):
+            if n == len(self._tvs):
+                self._power = (self._power if n else np.eye(self.size)) \
+                    @ self.transition
+                self._tvs.append(0.5 * np.abs(
+                    self._power - self.stationary[None, :]).sum(axis=1).max())
+            yield self._tvs[n]
 
     @cached_property
     def _decay(self) -> tuple[float, float]:
@@ -632,21 +628,6 @@ def uniform_ergodicity_constants(chain: FiniteChain) -> tuple[float, float]:
     return chain._decay
 
 
-def _worst_start_tv(transition: np.ndarray, stationary: np.ndarray,
-                    horizon: int):
-    """Yield ``max_x TV(P^n(x, .), pi)`` for ``n = 1 .. horizon``.
-
-    It takes the chain's arrays, not the chain: a chain keeps this
-    generator (:attr:`FiniteChain._tv_scan`), and a generator holding the
-    chain would make a reference cycle that keeps the chain and its path
-    table alive until the cyclic garbage collector runs.
-    """
-    power = np.eye(len(transition))
-    for _ in range(horizon):
-        power = power @ transition
-        yield 0.5 * np.abs(power - stationary[None, :]).sum(axis=1).max()
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -654,7 +635,7 @@ def _worst_start_tv(transition: np.ndarray, stationary: np.ndarray,
 def _start_states(nu: InitialDistribution, u: np.ndarray) -> np.ndarray:
     """The start state of each draw of ``u``: the count of ``nu``'s CDF
     entries below it."""
-    return (np.cumsum(nu.nu)[:-1, None] < u).sum(axis=0)
+    return np.searchsorted(np.cumsum(nu.nu)[:-1], u)
 
 
 def _draw_ranks(chain: FiniteChain, nu: InitialDistribution,

@@ -18,6 +18,7 @@ the objective it was recorded for.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -208,15 +209,13 @@ def delta_star(req: PlanRequest) -> tuple[float, Budget]:
     p = req.f.p
     d_hi = min(1.0, p - 1.0) * (1.0 - 1e-9)
     _require(d_hi > 1e-16, "empty feasible delta range")
-    totals: dict[float, float] = {}
 
+    @functools.cache
     def total(delta: float) -> float:
-        if delta not in totals:
-            try:
-                totals[delta] = budget_for_delta(delta, req).total
-            except NumericalError:
-                totals[delta] = math.inf
-        return totals[delta]
+        try:
+            return budget_for_delta(delta, req).total
+        except NumericalError:
+            return math.inf
 
     grid = np.geomspace(1e-16, d_hi, _GRID_POINTS)
     values = [total(d) for d in grid]

@@ -384,6 +384,12 @@ class TestInterpolatedErrorBound:
         assert q == 2.0
         assert bound == 14.0
 
+    def test_an_infinite_constant_at_its_zero_exponent(self):
+        # the other endpoint's bound, computed in log space
+        _, left = interpolated_error_bound(1.5, 3.0, 1.5, 3.0, math.inf)
+        _, right = interpolated_error_bound(1.5, 3.0, 3.0, math.inf, 7.0)
+        assert (left, right) == (pytest.approx(6.0), pytest.approx(14.0))
+
     def test_hand_value(self):
         q, bound = interpolated_error_bound(1.5, 3.0, 2.0, 2.0, 0.5)
         # exponents are (0.5, 0.5): 2*sqrt(2*0.5) = 2
@@ -452,6 +458,13 @@ class TestRefinedUniformBound:
         chain = make_chain(gap=0.5, alpha=0.5, big_m=2.0, dratio=1.0)
         _, m2 = uniform_endpoint_bounds(100, 4, chain)
         assert refined_uniform_bound(100, 4, chain, p=2.0) == m2
+
+    def test_p2_equals_m2_when_m1_overflows(self):
+        # m1's zero exponent gives a factor of 1, not 0 * log(inf) = nan
+        chain = make_chain(gap=0.5, alpha=0.5, big_m=1e300, dratio=1e300)
+        m1, m2 = uniform_endpoint_bounds(100, 1, chain)
+        assert m1 == math.inf
+        assert refined_uniform_bound(100, 1, chain, p=2.0) == m2
 
     def test_near_one_tends_to_m1(self):
         chain = make_chain(gap=0.5, alpha=0.5, big_m=2.0, dratio=1.0)

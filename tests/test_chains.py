@@ -1012,9 +1012,9 @@ def test_path_tables_are_built_once_on_first_use_and_freed(monkeypatch):
     assert chain() is None and paths() is None
 
 
-# two-state's ratio scan leaves its TV scan part-read, lazy-cycle-50's reads
-# it to the end; either way the chain keeps the scan's generator, which
-# must not refer back to the chain
+# two-state's ratio scan leaves its TV list part-read, lazy-cycle-50's reads
+# it to the end; either way the chain keeps the list and the last matrix
+# power, neither of which may refer back to the chain
 @pytest.mark.parametrize("name", ["two-state", "lazy-cycle-50"])
 def test_a_chain_is_freed_without_the_cycle_collector(name):
     model = make_chain(name)

@@ -9,6 +9,7 @@ every value here is reproducible bit for bit regardless of chunking.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -332,6 +333,22 @@ class TestIidRows:
                                    replications, 29) == \
             _estimates(reference, windows)
 
+    def test_worker_count_without_cpu_affinity(self, monkeypatch):
+        # a platform without sched_getaffinity counts the machine's cores
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert estimator._worker_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert estimator._worker_count() == 3
+        windows = [(20, 5), (300, 0), (2000, 1)]
+        monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
+        threaded = _deviations(IidUniformSampler(), self.F, windows, 101,
+                               1729, DEFAULT_CHUNK_ELEMENTS)
+        monkeypatch.setattr(estimator, "_worker_count", lambda: 1)
+        assert _deviations(IidUniformSampler(), self.F, windows, 101, 1729,
+                           DEFAULT_CHUNK_ELEMENTS).tobytes() == \
+            threaded.tobytes()
+
     def test_bytes_do_not_depend_on_cores_or_chunking(self, monkeypatch):
         windows = [(20, 5), (300, 0), (2000, 1)]
         monkeypatch.setattr(estimator, "_THREADED_WIDTH", 1)
@@ -458,6 +475,25 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 0.2 * 1000 * 10_004 * 8
+
+    def test_start_states_hold_no_cdf_matrix(self):
+        # comparing each start draw with every CDF entry of a 1000-state
+        # start law held a 999 x 20000 boolean matrix, ~22 MiB at the peak
+        # of this estimate; a search over the CDF holds the states only
+        size = 1000
+        cycle = np.roll(np.eye(size), 1, axis=1)
+        chain = FiniteChain(0.5 * np.eye(size) + 0.25 * (cycle + cycle.T),
+                            np.full(size, 1.0 / size), reversible=True)
+        model = FiniteChainModel("lazy-cycle-1000", chain,
+                                 InitialDistribution.stationary(chain))
+        tracemalloc.start()
+        try:
+            estimate_e1_windows(model, np.arange(float(size)), [(8, 0)],
+                                20_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_a_failing_walk_slice_raises_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(estimator, "_worker_count", lambda: 3)

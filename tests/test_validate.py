@@ -80,22 +80,31 @@ class TestConstantsSuite:
         assert not report.passed
 
     # two-state's ratio scan stops at a distance below the resolution floor,
-    # lazy-cycle-50's runs the whole horizon; the certification reads on
-    @pytest.mark.parametrize("chain", ["two-state", "lazy-cycle-50"])
-    def test_one_tv_scan_per_suite(self, monkeypatch, chain):
-        scans = []
-        scan = chains._worst_start_tv
-
-        def counted(*args):
-            scans.append(args)
-            return scan(*args)
-
-        monkeypatch.setattr(chains, "_worst_start_tv", counted)
-        assert constants_suite(chain).passed
-        assert len(scans) == 1
-        kept = make_chain(chain).chain
-        assert list(kept._worst_start_tvs()) == list(
-            scan(kept.transition, kept.stationary, chains._TV_HORIZON))
+    # lazy-cycle-50's runs the whole horizon; the certification reads on.
+    # The dense chain is CI's: symmetric weights normalised by row
+    @pytest.mark.parametrize("chain", ["two-state", "lazy-cycle-50",
+                                       "dense-40"])
+    def test_one_tv_scan_per_suite(self, chain):
+        if chain == "dense-40":
+            weights = np.random.default_rng(7).random((40, 40))
+            weights += weights.T
+            model = finite_model(FiniteChain.from_matrix(
+                weights / weights.sum(axis=1, keepdims=True)))
+        else:
+            model = make_chain(chain)
+        kept = model.chain
+        assert constants_suite(model).passed
+        assert len(kept._tvs) == chains._TV_HORIZON
+        power = kept._power
+        assert constants_suite(model).passed
+        assert kept._power is power and len(kept._tvs) == chains._TV_HORIZON
+        want, power = [], np.eye(kept.size)
+        for _ in range(chains._TV_HORIZON):
+            power = power @ kept.transition
+            want.append(
+                0.5 * np.abs(power - kept.stationary).sum(axis=1).max())
+        assert kept._tvs == want
+        assert list(kept._worst_start_tvs()) == want
 
 
 class TestOracleSuite:

@@ -16,16 +16,16 @@ order, chunking, or thread count.  Replication ``r`` of master seed ``s``
 draws from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``.  A block of
 replications is one :class:`_ReplicationStreams`, whose keys are derived in
 one vectorised pass that reproduces numpy's ``SeedSequence`` hash; every
-sampler is a function of its uniform matrix, and writes its values (a
-finite chain: its states) into a buffer it is given.  Short rows come
-from a numpy Philox block function, whose first round is in closed form
-(a block's counter has one nonzero word) and whose other nine rounds
-write into buffers reused across rounds.  Longer rows are drawn one at a time by a generator
-re-keyed per row; a row depends only on its key.  Samplers fill their rows
-serially, in the buffers they are given: the estimator owns the row
-blocks (it splits the replications into one slice per core, sizes and
-allocates each slice's buffers and runs the slices), so this module only
-derives streams, draws and steps.
+model is a function of its uniform matrix.  Short rows come from a numpy
+Philox block function, whose first round is in closed form (a block's
+counter has one nonzero word) and whose other nine rounds write into
+buffers reused across rounds.  Longer rows are drawn one at a time by a
+generator re-keyed per row; a row depends only on its key.  Every model
+states how its rows are blocked (``_layout``), fills the blocks it is
+given, serially (``_fill``), and names the suites it runs (``suites``):
+the estimator owns the row blocks (it splits the replications into one
+slice per core, sizes and allocates each slice's buffers from the layout
+and runs the slices), so this module only derives streams, draws, steps.
 A finite walk steps by inverse CDF: the next state is the number of the
 current row's CDF entries below the draw, counted over each state's
 distinct CDF levels rather than entry by entry, so the same streams give
@@ -85,6 +85,14 @@ _STEP_BLOCK = 256
 # walks (the 8-step oracle windows) step faster by the level-table loop
 _PATH_TABLE_ENTRIES = 2**17
 _PATH_MIN_COLUMNS = 64
+# the bytes of a block of walks each core holds at once: a walk pays its
+# interpreted stepping loop once per block, so it takes 16 MB, 2**21 floats
+# or 2**24 one-byte states (2**20 floats held less but ran slower).  i.i.d.
+# rows only draw and transform, and keep theirs in cache (2**17 floats,
+# 1 MB, half a core's L2 cache on the Xeon it was timed on), as do the
+# draws of a walk through a path table
+_WALK_BYTES = 2**24
+_DRAW_BLOCK = 2**17
 
 # Below this total-variation level, float64 matrix powers measure the
 # rounding of the matrix entries rather than chain convergence (a matrix
@@ -803,9 +811,11 @@ class SingularFunction:
 
 
 class _ContinuousSampler:
-    """Moments of a singular integrand under the sampler's target."""
+    """Moments of a singular integrand under the sampler's target; the
+    sampler states its layout and fills its blocks with ``f``'s values."""
 
     target: PowerLawDensity
+    suites = ("rate",)
 
     def expectation(self, f: SingularFunction) -> float:
         return f.expectation(self.target)
@@ -813,9 +823,11 @@ class _ContinuousSampler:
     def lp_norm(self, f: SingularFunction, p: float) -> float:
         return f.lp_norm(p, self.target)
 
-    def uniform_width(self, length: int) -> int:
-        """Uniforms a replication of ``length`` values draws."""
-        return length
+    def _fill(self, f: SingularFunction, length: int, streams,
+              block: np.ndarray, draws: np.ndarray):
+        """Yield ``(0, values)`` once: ``f``'s values on every stream,
+        written over their draws in ``block``; ``draws`` stays unused."""
+        yield 0, self.batch_values(f, length, streams, out=block)
 
 
 class IidUniformSampler(_ContinuousSampler):
@@ -827,6 +839,10 @@ class IidUniformSampler(_ContinuousSampler):
         self.target = _UNIFORM
         self.params = ChainParams(gap=1.0, alpha=0.0, big_m=1.0, dratio=0.0,
                                   reversible=True)
+
+    def _layout(self, length: int) -> tuple:
+        """Rows of ``length`` uniforms, transformed in place, in cache."""
+        return length, np.float64, _DRAW_BLOCK, 0, False
 
     def batch_values(self, f: SingularFunction, length: int, streams,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -853,8 +869,10 @@ class IndepMHSampler(_ContinuousSampler):
         self.params = ChainParams(gap=inv_beta, alpha=1.0 - inv_beta,
                                   big_m=1.0, dratio=0.0, reversible=True)
 
-    def uniform_width(self, length: int) -> int:
-        return 2 * length - 1
+    def _layout(self, length: int) -> tuple:
+        """Walks of a start draw and a (proposal, acceptance) pair a step,
+        whose values are written over their first draws."""
+        return 2 * length - 1, np.float64, _WALK_BYTES // 8, 0, True
 
     def batch_values(self, f, length: int, streams,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -892,6 +910,7 @@ class FiniteChainModel:
     name: str
     chain: FiniteChain
     nu: InitialDistribution
+    suites = ("constants", "oracle", "bound-dominance")
 
     @property
     def params(self) -> ChainParams:
@@ -915,9 +934,16 @@ class FiniteChainModel:
                                  @ (f / scale)**p) ** (1.0 / p)
         return norm
 
-    def uniform_width(self, length: int) -> int:
-        """Uniforms a replication of ``length`` values draws."""
-        return length
+    def _layout(self, length: int) -> tuple:
+        """Walks of ``length`` integer states, drawn through a float fill
+        of :data:`_DRAW_BLOCK` values on a path table, and of the whole
+        block on a level walk, so that its stepping loop runs once per
+        block (fills of 2**17 values took a dense 40-state chain at
+        4000 x 1000 from 0.30 to 0.94 s on a 2-core Xeon)."""
+        dtype = self.chain._state_dtype
+        if self._walk_table(length) is None:
+            return length, dtype, _WALK_BYTES // 8, _WALK_BYTES // 8, True
+        return length, dtype, _WALK_BYTES // dtype.itemsize, _DRAW_BLOCK, True
 
     def _walk_table(self, length: int) -> _PathTable | None:
         """The path table a walk of ``length`` columns steps through, or
@@ -952,12 +978,24 @@ class FiniteChainModel:
             _table_steps(table, out)
         return out
 
-    def _value_table(self, f_values):
-        """The values ``f`` takes at each state, as the walk's values are
-        taken from it: None when they are the states (``f`` is
-        ``arange(S)``), and float64 otherwise."""
+    def _fill(self, f_values, length: int, streams, block: np.ndarray,
+              draws: np.ndarray):
+        """Walk the streams into the integer ``block`` (:meth:`_walk`) and
+        yield ``(row, values)`` for its rows from ``row`` on: the walk
+        itself once when ``f`` is ``arange(S)``, which is reduced from
+        exact int64 sums, and otherwise ``f``'s float64 values at its
+        states a fill at a time, in ``draws``, whose sums of integers are
+        exact too; both give the window means bit for bit."""
+        walk = self._walk(length, streams, block, draws)
         f = np.asarray(f_values, dtype=float)
-        return None if np.array_equal(f, np.arange(f.size)) else f
+        if np.array_equal(f, np.arange(f.size)):
+            yield 0, walk
+            return
+        rows = max(1, len(draws) // length)
+        for row in range(0, len(walk), rows):
+            states = walk[row:row + rows]
+            yield row, f.take(states, mode="clip", out=draws[
+                :states.size].reshape(states.shape))
 
     def batch_values(self, f_values, length: int, streams) -> np.ndarray:
         """``f``'s values along each replication's walk, one float row per

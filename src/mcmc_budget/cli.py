@@ -301,12 +301,7 @@ def _given(**options) -> dict:
 
 
 def _suites_for(args, model) -> list:
-    finite = isinstance(model, FiniteChainModel)
-    if args.suite == "all":
-        names = (["constants", "oracle", "bound-dominance"] if finite
-                 else ["rate"])
-    else:
-        names = [args.suite]
+    names = model.suites if args.suite == "all" else [args.suite]
     # parse the grids of the suites that run before any of them runs
     n_grid = (_parse_grid(args.n_grid, "--n-grid")
               if "bound-dominance" in names else None)

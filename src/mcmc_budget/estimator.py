@@ -6,14 +6,9 @@ supplied by the chain model.  Replications run on per-index counter-based
 streams and are reduced by fixed-index aggregation, so results are
 bit-identical however the work is chunked or threaded.  The estimator
 owns the row blocks: it splits the replications into one slice per core,
-sizes and allocates each slice's buffers, and runs the slices, whose
-models draw, step and reduce their rows a block at a time, with no matrix
-of every walk.  A walk on a finite chain is held as one byte a step (two
-on chains of more than 256 states), and its interpreted stepping loop
-runs once per block.  Its values take one of two routes: f = arange(S) is
-reduced from exact int64 partial sums of the walk itself, and any other f
-from its float64 values at the walk's states, whose sums of integers are
-exact; both give the window means bit for bit.
+sizes and allocates each slice's buffers from the model's layout, and
+runs the slices, whose models fill their rows a block at a time, with no
+matrix of every walk.
 
 Because |S - mu| itself can have infinite variance in the heavy-tailed
 regimes under study, the spread of the estimate is reported as half the
@@ -27,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (
-    FiniteChainModel,
-    IidUniformSampler,
-    _empty_rows,
-    _ReplicationStreams,
-)
+from .chains import _empty_rows, _ReplicationStreams
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -47,14 +37,6 @@ __all__ = [
 
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
-# the bytes of a block of walks each core holds at once: a walk pays its
-# interpreted stepping loop once per block, so it takes 16 MB, 2**21 floats
-# or 2**24 one-byte states (2**20 floats held less but ran slower).  i.i.d.
-# rows only draw and transform, and keep theirs in cache (2**17 floats,
-# 1 MB, half a core's L2 cache on the Xeon it was timed on), as do the
-# draws of a walk through a path table
-_WALK_BYTES = 2**24
-_DRAW_BLOCK = 2**17
 # Threads pay only where each interpreted call, which holds the interpreter
 # lock, starts enough numpy work; elsewhere they contend.  So the rows run
 # on every core only when each row has at least _THREADED_WIDTH uniforms
@@ -132,31 +114,24 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
     sums.  The pool's exit waits for every slice; then the exception of
     the first slice that raised one is raised.  The pool is imported
     here: with the module, it would add 12 modules (~6 ms) to every
-    import of the package.  A slice
-    derives its streams' keys at least :data:`_KEY_BLOCK` rows at a time,
-    and for each block of rows has the model draw, step and transform the
-    block in its buffer (``batch_values``, or ``FiniteChainModel._walk``
-    on a finite chain), then reduces every window into the block's own
-    columns.  A block holds at most ``chunk_elements`` values, and at most
-    :data:`_WALK_BYTES` bytes on a walk or :data:`_DRAW_BLOCK` uniforms on
-    ``iid-uniform``, or one row if wider.  The rows run on one slice, on
-    the calling thread, unless they are at least :data:`_THREADED_WIDTH`
-    uniforms wide and, on a walk, a slice's block holds at least
-    :data:`_THREADED_WALK_ROWS` of them.  A row depends only on its
-    stream, so the bytes do not depend on the core count or the block
-    size.
+    import of the package.  A slice derives its streams' keys at least
+    :data:`_KEY_BLOCK` rows at a time, and for each block of rows has the
+    model fill the block in its buffer (``model._fill``), then reduces
+    every window of what it yields into the block's own columns: an
+    integer walk by :func:`_window_deviations`, float64 values window by
+    window with ``np.mean``, where a sum that overflows gives an infinite
+    deviation, which :func:`_estimates` refuses.
 
-    A finite walk is held as integer states in the block, its uniforms
-    drawn through a float buffer: the whole block's for a walk by the
-    level-table loop, which runs once per fill, and at most
-    :data:`_DRAW_BLOCK` values, a few rows at a time, for a walk through a
-    path table, whose block is then capped at :data:`_WALK_BYTES` of
-    states.  When ``f`` is ``arange(S)`` the walk is reduced by
-    :func:`_window_deviations`; otherwise ``f``'s float values at its
-    states are taken into the float buffer a fill at a time.  Float
-    values are reduced window by window with ``np.mean``, where a sum that
-    overflows gives an infinite deviation, which :func:`_estimates`
-    refuses.
+    ``model._layout(length)`` gives ``(width, dtype, cap, fill, walks)``:
+    the uniforms a row draws, the block's dtype, the values a block may
+    hold, the float values a fill holds apart from the block (0 when the
+    values are written over their draws), and whether the rows walk.  A
+    block holds at most ``chunk_elements`` and ``cap`` values, or one row
+    if wider.  The rows run on one slice, on the calling thread, unless
+    they are at least :data:`_THREADED_WIDTH` uniforms wide and, on a
+    walk, a slice's block holds at least :data:`_THREADED_WALK_ROWS` of
+    them.  A row depends only on its stream, so the bytes do not depend
+    on the core count or the block size.
     """
     from concurrent.futures import ThreadPoolExecutor
     if not windows:
@@ -170,36 +145,20 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
         raise DomainError("at most 2**32 replications are supported")
     mu = model.expectation(f)
     length = max(n + n0 for n, n0 in windows)
-    width = model.uniform_width(length)
+    width, dtype, cap, fill, walks = model._layout(length)
     deviations = np.empty((len(windows), replications))
-    iid = isinstance(model, IidUniformSampler)
-    finite = isinstance(model, FiniteChainModel)
-    table = finite and model._walk_table(length) is not None
-    dtype = model.chain._state_dtype if finite else np.float64
-    cap = _WALK_BYTES // dtype.itemsize if table \
-        else _DRAW_BLOCK if iid else _WALK_BYTES // 8
     capacity = max(1, min(int(chunk_elements), cap) // width)
     # `rows`: what a slice's block holds, which the threading rule counts
     workers = max(1, min(_worker_count(), replications))
     rows = min(capacity, -(-replications // workers))
-    if width < _THREADED_WIDTH or not iid and rows < _THREADED_WALK_ROWS:
+    if width < _THREADED_WIDTH or walks and rows < _THREADED_WALK_ROWS:
         workers, rows = 1, min(capacity, replications)
     bounds = [replications * k // workers for k in range(workers + 1)]
     key_rows = rows * -(-_KEY_BLOCK // rows)
-    # a level walk's fill is its whole block, so that its stepping loop
-    # runs once per block: fills of 2**17 values took a dense 40-state
-    # chain at 4000 x 1000 from 0.30 to 0.94 s on a 2-core Xeon
-    fill_rows = 0
-    if finite:
-        fill_rows = min(max(1, _DRAW_BLOCK // width), rows) if table else rows
+    fill_rows = fill and min(max(1, fill // width), rows)
     # every slice's buffers, the float one first, before any thread starts
     fills = _empty_rows(workers * fill_rows, width).reshape(workers, -1)
     blocks = _empty_rows(workers * rows, width, dtype).reshape(workers, -1)
-    values_of = model._value_table(f) if finite else None
-
-    def reduce_values(values: np.ndarray, out: np.ndarray) -> None:
-        for k, (n, n0) in enumerate(windows):
-            out[k] = np.abs(values[:, n0:n0 + n].mean(axis=1) - mu)
 
     def reduce(start: int, stop: int, buffer: np.ndarray,
                draws: np.ndarray) -> None:
@@ -208,22 +167,17 @@ def _deviations(model, f, windows, replications: int, master_seed: int,
                                           min(first + key_rows, stop))
             for offset in range(0, len(streams), rows):
                 part = streams[offset:offset + rows]
-                out = deviations[:, first + offset:first + offset + len(part)]
                 block = buffer[:len(part) * width].reshape(len(part), width)
-                if not finite:
-                    reduce_values(model.batch_values(f, length, part,
-                                                     out=block), out)
-                    continue
-                walk = model._walk(length, part, block, draws)
-                if values_of is None:
-                    _window_deviations(walk, windows, mu, out)
-                    continue
-                # f's values, a fill at a time in the draw buffer
-                for row in range(0, len(part), fill_rows):
-                    states = walk[row:row + fill_rows]
-                    values = values_of.take(states, mode="clip", out=draws[
-                        :states.size].reshape(states.shape))
-                    reduce_values(values, out[:, row:row + fill_rows])
+                for row, values in model._fill(f, length, part, block,
+                                               draws):
+                    at = first + offset + row
+                    out = deviations[:, at:at + len(values)]
+                    if values.dtype != np.float64:
+                        _window_deviations(values, windows, mu, out)
+                        continue
+                    for k, (n, n0) in enumerate(windows):
+                        out[k] = np.abs(
+                            values[:, n0:n0 + n].mean(axis=1) - mu)
 
     def run(k: int) -> None:
         # numpy's error state is per thread, so each slice sets its own: an

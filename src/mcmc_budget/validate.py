@@ -130,7 +130,7 @@ def _model(source, suite: str, start: str | None = None):
     if start not in (None, "point-mass", "stationary"):
         raise DomainError("start must be 'point-mass' or 'stationary'")
     model = resolve_model(source) if isinstance(source, str) else source
-    if isinstance(model, FiniteChainModel) == (suite == "rate"):
+    if suite not in model.suites:
         kind = "a continuous sampler" if suite == "rate" else "a finite chain"
         raise DomainError(f"the {suite} suite needs {kind}")
     return _point_mass_rebind(model) if start == "point-mass" else model

@@ -958,8 +958,8 @@ class TestLevelWalks:
                             3000, 5)
         assert sum(blocks) == 3000
         assert sorted(fills) == sorted(blocks)
-        # blocks of more rows than a fill of estimator._DRAW_BLOCK values
-        assert max(blocks) > estimator._DRAW_BLOCK // 1000
+        # blocks of more rows than a fill of chains._DRAW_BLOCK values
+        assert max(blocks) > chains._DRAW_BLOCK // 1000
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])

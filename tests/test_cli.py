@@ -30,8 +30,8 @@ from mcmc_budget.planner import (
     budget_for_delta,
     plan_uniform,
 )
-from mcmc_budget.validate import (bound_dominance_suite, oracle_suite,
-                                  rate_suite)
+from mcmc_budget.validate import (bound_dominance_suite, constants_suite,
+                                  oracle_suite, rate_suite)
 
 
 F01 = np.array([0.0, 1.0])
@@ -807,20 +807,34 @@ class TestValidateCommand:
                      if line[:1] == action.option_strings]
             assert len(line) == 2
 
-    @pytest.mark.parametrize("chain, suite, run_suites", [
-        ("two-state", "bound-dominance",
-         lambda: [bound_dominance_suite(regime=regime, replications=20)
-                  for regime in ("uniform", "gap")]),
-        ("two-state", "oracle", lambda: [oracle_suite(replications=20)]),
-        ("iid-uniform", "rate", lambda: [rate_suite(replications=20)]),
-    ], ids=["bound-dominance", "oracle", "rate"])
+    # each suite's reports as it runs with every flag but the
+    # replications unset
+    SUITE_RUNS = {
+        "constants": lambda chain: [constants_suite(chain)],
+        "oracle": lambda chain: [oracle_suite(chain, replications=20)],
+        "bound-dominance": lambda chain: [
+            bound_dominance_suite(chain, regime=regime, replications=20)
+            for regime in ("uniform", "gap")],
+        "rate": lambda chain: [rate_suite(chain, replications=20)],
+    }
+
+    # --suite all runs exactly the model's suites, in their order
+    @pytest.mark.parametrize("chain, suite", [
+        ("two-state", "bound-dominance"), ("two-state", "oracle"),
+        ("iid-uniform", "rate"), ("two-state", "all"),
+        ("lazy-cycle-3", "all"), ("iid-uniform", "all"),
+        ("indep-mh-2x", "all"),
+    ], ids=["bound-dominance", "oracle", "rate", "all-two-state",
+            "all-lazy-cycle-3", "all-iid-uniform", "all-indep-mh-2x"])
     def test_unset_suite_flags_take_the_suite_defaults(
-            self, capsys, monkeypatch, chain, suite, run_suites):
+            self, capsys, monkeypatch, chain, suite):
         monkeypatch.delenv("MCMC_BUDGET_SEED", raising=False)
         code, out, _ = run_cli(capsys, "validate", "--chain", chain,
                                "--suite", suite, "--replications", "20",
                                "--format", "json")
-        reports = run_suites()
+        names = make_chain(chain).suites if suite == "all" else [suite]
+        reports = [report for name in names
+                   for report in self.SUITE_RUNS[name](chain)]
         expected = [{"suite": report.suite, "passed": report.passed,
                      "details": report.details,
                      "rows": [row.as_dict() for row in report.rows]}

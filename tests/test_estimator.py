@@ -106,6 +106,15 @@ def reference_deviations(model, f, windows, replications, seed):
                      for n, n0 in windows])
 
 
+def fill_dtypes(model, f, length=5, rows=3):
+    """The dtypes of what ``model._fill`` yields for ``rows`` walks of
+    ``length`` states: the route the estimator reduces them by."""
+    block = np.empty((rows, length), dtype=model.chain._state_dtype)
+    return {values.dtype for _, values in model._fill(
+        np.asarray(f, dtype=float), length, _ReplicationStreams(0, 0, rows),
+        block, np.empty(block.size))}
+
+
 # ---------------------------------------------------------------------------
 # the sample mean of a simulated trajectory
 
@@ -253,11 +262,10 @@ class TestIntegerWalks:
             int(np.argmin(chain.stationary)), chain) if point_mass
             else InitialDistribution.stationary(chain))
         model = finite_model(chain, nu)
-        table = model._value_table(f)
-        if np.array_equal(f, np.arange(size)):
-            assert table is None
-        else:
-            assert table.dtype == np.float64
+        # the walk itself for arange(S), float64 values otherwise
+        assert fill_dtypes(model, f) == {
+            chain._state_dtype if np.array_equal(f, np.arange(size))
+            else np.dtype(np.float64)}
         reference = reference_deviations(model, f, windows, replications,
                                          seed)
         got = _deviations(model, f, windows, replications, seed,
@@ -274,7 +282,7 @@ class TestIntegerWalks:
         # RuntimeWarning, which the test configuration makes an error
         model = two_state_model(nu_state=1)
         windows = [(1, 0), (7, 3), (30, 0)]
-        assert model._value_table(np.array(f)).dtype == np.float64
+        assert fill_dtypes(model, f) == {np.dtype(np.float64)}
         reference = reference_deviations(model, f, windows, 50, 4)
         got = _deviations(model, np.array(f), windows, 50, 4, chunk_elements)
         assert got.tobytes() == reference.tobytes()
@@ -373,6 +381,35 @@ class TestIidRows:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * 200 * 100_000 * 8
+
+
+class TestModelProtocol:
+    """The estimator asks a model only for its expectation, its layout and
+    its fills, whatever its class."""
+
+    def test_a_model_of_no_zoo_class(self):
+        # i.i.d. rows of 42 uniforms in blocks of at most 50 rows
+        sampler, fills = IidUniformSampler(), []
+
+        class Delegate:
+            def expectation(self, f):
+                return sampler.expectation(f)
+
+            def _layout(self, length):
+                width, dtype, _, fill, walks = sampler._layout(length)
+                return width, dtype, 42 * 50, fill, walks
+
+            def _fill(self, f, length, streams, block, draws):
+                fills.append(len(streams))
+                return sampler._fill(f, length, streams, block, draws)
+
+        f, windows = SingularFunction(0.5), [(42, 0), (10, 5)]
+        want = _deviations(sampler, f, windows, 300, 11,
+                           DEFAULT_CHUNK_ELEMENTS)
+        got = _deviations(Delegate(), f, windows, 300, 11,
+                          DEFAULT_CHUNK_ELEMENTS)
+        assert got.tobytes() == want.tobytes()
+        assert max(fills) <= 50 and sum(fills) == 300
 
 
 class TestRowBlocks:

@@ -20,7 +20,8 @@ Extreme magnitudes are routine here: density ratios of 1e30 and burn-ins of
 millions of steps appear in realistic plans.  Products of the form
 ``scale * base**exponent`` are therefore evaluated through logarithms
 whenever the scale is large, which avoids the spurious ``0 * inf`` that a
-naive evaluation order produces.
+naive evaluation order produces.  Only these scaled powers go through log
+space: an interpolated ``m1**e1 * m2**e2`` takes two plain powers.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 _LOG_SCALE_THRESHOLD = 1e15
-_EXP_OVERFLOW = 709.0
 
 
 def _require(condition: bool, message: str) -> None:
@@ -147,23 +147,18 @@ def _pow_scaled(base: float, exponent: float, *factors: float) -> float:
         return math.prod(factors) * base ** exponent
     log_value = exponent * math.log(base) + math.fsum(
         math.log(f) for f in factors)
-    if log_value >= _EXP_OVERFLOW:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
         return math.inf
-    return math.exp(log_value)
 
 
 def _interpolate(p1: float, p2: float, p: float, m1: float,
                  m2: float) -> float:
     """``m1**e1 * m2**e2`` at :func:`interpolated_error_bound`'s exponents,
-    in log space for huge bases; a zero exponent gives a factor of 1."""
-    e1 = (p1 / (p2 - p1)) * (p2 / p - 1.0)
-    e2 = (p2 / (p2 - p1)) * (1.0 - p1 / p)
-    if (m1 > _LOG_SCALE_THRESHOLD or m2 > _LOG_SCALE_THRESHOLD) \
-            and m1 > 0.0 and m2 > 0.0:
-        log_value = sum(e * math.log(m) for e, m in ((e1, m1), (e2, m2)) if e)
-        if log_value >= _EXP_OVERFLOW:
-            return math.inf
-        return math.exp(log_value)
+    capped at 1 so that no power overflows; a zero exponent gives 1."""
+    e1 = min(1.0, (p1 / (p2 - p1)) * (p2 / p - 1.0))
+    e2 = min(1.0, (p2 / (p2 - p1)) * (1.0 - p1 / p))
     return math.pow(m1, e1) * math.pow(m2, e2)
 
 
@@ -385,8 +380,8 @@ def refined_uniform_bound(n: float, n0: float, chain: ChainParams,
 
     Equals ``m1**(2/p - 1) * m2**(2 - 2/p)`` with the constants from
     :func:`uniform_endpoint_bounds`: half of
-    ``interpolated_error_bound(1, 2, p, m1, m2)``.  At ``p = 2`` it
-    reduces to ``m2`` and as ``p`` decreases to 1 it tends to ``m1``.
+    ``interpolated_error_bound(1, 2, p, m1, m2)``.  At ``p = 2`` it is
+    exactly ``m2``, and as ``p`` decreases to 1 it tends to ``m1``.
     With ``n0`` at least :func:`uniform_burnin` it never exceeds
     :func:`uniform_error_bound` for a unit-norm integrand.
     """

@@ -39,6 +39,7 @@ the 1000-state limit (:meth:`FiniteChainModel._walk`).
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import re
@@ -330,6 +331,24 @@ def _holds_booleans(values) -> bool:
     return bool in kinds or np.bool_ in kinds
 
 
+def _one_blas_thread(solve, matrix):
+    """``solve(matrix)`` on one thread of numpy's OpenBLAS (scipy-openblas
+    in numpy 2), whose thread count follows the cores and moves the last
+    bits of an eigensolver's result; without it, on the default count."""
+    library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(library, f"{prefix}_get_num_threads64_", None)
+        put = getattr(library, f"{prefix}_set_num_threads64_", None)
+        if get and put:
+            count = get()
+            put(1)
+            try:
+                return solve(matrix)
+            finally:
+                put(count)
+    return solve(matrix)
+
+
 # ---------------------------------------------------------------------------
 # finite chains
 
@@ -398,7 +417,7 @@ class FiniteChain:
         root = np.sqrt(pi)
         sym = (root[:, None] / root[None, :]) * self.transition
         sym = 0.5 * (sym + sym.T)
-        eigenvalues = np.linalg.eigvalsh(sym)
+        eigenvalues = _one_blas_thread(np.linalg.eigvalsh, sym)
         if len(eigenvalues) == 1:
             return 1.0
         slem = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-2])))
@@ -457,7 +476,7 @@ class FiniteChain:
         via detailed balance unless declared explicitly.
         """
         k = _transition_matrix(matrix)
-        eigenvalues, eigenvectors = np.linalg.eig(k.T)
+        eigenvalues, eigenvectors = _one_blas_thread(np.linalg.eig, k.T)
         lead = int(np.argmin(np.abs(eigenvalues - 1.0)))
         pi = np.real(eigenvectors[:, lead])
         pi = np.where(np.abs(pi) < 1e-14, 0.0, pi)

@@ -105,15 +105,14 @@ def _emit(args, columns, rows, json_payload) -> None:
         sys.stdout.write(text)
 
 
-def _parse_grid(text: str | None, flag: str) -> tuple | None:
-    if text is None:
-        return None
+def _parse_grid(text: str) -> tuple:
     try:
         grid = tuple(int(token) for token in text.split(",") if token)
     except ValueError:
-        raise _UsageError(f"cannot parse integer grid from {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"cannot parse integer grid from {text!r}")
     if not grid:
-        raise _UsageError(f"{flag} needs at least one grid point")
+        raise argparse.ArgumentTypeError("needs at least one grid point")
     return grid
 
 
@@ -122,9 +121,11 @@ def _parse_values(text: str) -> np.ndarray:
         values = np.array([float(token) for token in text.split(",")
                            if token])
     except ValueError:
-        raise _UsageError(f"cannot parse value vector from {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"cannot parse value vector from {text!r}")
     if not np.isfinite(values).all():
-        raise _UsageError(f"value vector {text!r} has a non-finite entry")
+        raise argparse.ArgumentTypeError(
+            f"value vector {text!r} has a non-finite entry")
     return values
 
 
@@ -243,11 +244,10 @@ def cmd_tables(args) -> int:
 def _simulation_function(args, model):
     if isinstance(model, FiniteChainModel):
         if args.f is not None:
-            values = _parse_values(args.f)
-            if values.shape[0] != model.chain.size:
+            if args.f.shape[0] != model.chain.size:
                 raise _UsageError(
                     f"--f needs {model.chain.size} values for this chain")
-            return values
+            return args.f
         return _default_values(model)
     if args.f is not None:
         raise _UsageError("--f takes state values of a finite chain; "
@@ -302,11 +302,6 @@ def _given(**options) -> dict:
 
 def _suites_for(args, model) -> list:
     names = model.suites if args.suite == "all" else [args.suite]
-    # parse the grids of the suites that run before any of them runs
-    n_grid = (_parse_grid(args.n_grid, "--n-grid")
-              if "bound-dominance" in names else None)
-    rate_grid = (_parse_grid(args.rate_grid, "--rate-grid")
-                 if "rate" in names else None)
     run = {"replications": args.replications, "master_seed": args.seed,
            "chunk_elements": args.chunk_elements}
     reports = []
@@ -321,11 +316,11 @@ def _suites_for(args, model) -> list:
                            else ["uniform", "gap"]):
                 reports.append(bound_dominance_suite(
                     model, regime=regime, **run, **_given(
-                        n_grid=n_grid, p=args.p, delta=args.delta,
+                        n_grid=args.n_grid, p=args.p, delta=args.delta,
                         start=args.start)))
         else:
             reports.append(rate_suite(model, **run, **_given(
-                n_grid=rate_grid, p=args.p, gamma=args.gamma)))
+                n_grid=args.rate_grid, p=args.p, gamma=args.gamma)))
     return reports
 
 
@@ -442,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--n0", type=int, default=0)
     simulate.add_argument("--replications", type=int, default=10_000)
-    simulate.add_argument("--f", help="comma-separated state values")
+    simulate.add_argument("--f", type=_parse_values,
+                          help="comma-separated state values")
     simulate.add_argument("--gamma", type=float, default=0.65)
     simulate.add_argument("--p", type=float, default=1.5)
     simulate.add_argument("--trajectory", action="store_true",
@@ -461,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "bound-dominance", "rate"))
     validate.add_argument("--regime", choices=("uniform", "gap"))
     # a suite flag left unset takes the suite's own default
-    validate.add_argument("--n-grid", dest="n_grid")
-    validate.add_argument("--rate-grid", dest="rate_grid")
+    validate.add_argument("--n-grid", dest="n_grid", type=_parse_grid)
+    validate.add_argument("--rate-grid", dest="rate_grid", type=_parse_grid)
     validate.add_argument("--replications", type=int, default=10_000)
     validate.add_argument("--max-total", dest="max_total", type=int)
     validate.add_argument("--p", type=float)

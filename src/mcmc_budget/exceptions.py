@@ -39,4 +39,5 @@ class ChainValidationError(McmcBudgetError, ValueError):
 
 
 class NumericalError(McmcBudgetError, RuntimeError):
-    """An iterative routine failed to converge; carries diagnostics."""
+    """A value leaves float64's range: a bound term, burn-in, budget or
+    estimate that overflows, or a product that underflows to 0."""

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from mcmc_budget.bounds import (
     ChainParams,
     ExponentPair,
     FunctionClass,
+    _interpolate,
     gap_burnin,
     gap_endpoint_bounds,
     gap_error_bound,
@@ -301,6 +304,12 @@ class TestUniformEndpointBounds:
         assert m1 == 2.0
         assert m2 == pytest.approx(math.sqrt(2.0) / math.sqrt(50.0), rel=1e-14)
 
+    def test_transient_just_below_the_float_limit_is_finite(self):
+        # 4 * 0.5 * 1e300 * 7.5e7 = 1.5e308, whose log is 709.6: finite
+        chain = make_chain(gap=0.5, alpha=0.5, big_m=1e300, dratio=7.5e7)
+        m1, _ = uniform_endpoint_bounds(100, 1, chain)
+        assert m1 == pytest.approx(1.5e308, rel=1e-12)
+
     def test_overflowing_transient_is_infinite(self):
         # 4 * 0.5 * 1e300 * 1e300 passes float64's range in log space
         chain = make_chain(gap=0.5, alpha=0.5, big_m=1e300, dratio=1e300)
@@ -373,6 +382,55 @@ class TestInterpolationExponent:
             interpolation_exponent(1.5, 3.0, 3.5)
 
 
+DBL_MAX = sys.float_info.max
+DBL_MIN = sys.float_info.min
+# zero, infinity, subnormals, the smallest normal, and constants at and
+# just below the float limit
+EDGE_CONSTANTS = [0.0, math.inf, 5e-324, 1e-310, DBL_MIN, 1.0, DBL_MAX,
+                  math.nextafter(DBL_MAX, 0.0), DBL_MAX * (1.0 - 1e-15)]
+
+
+def draw_constant(rng) -> float:
+    """An edge constant, or a log-uniform one over the whole float range
+    or over [1e15, DBL_MAX]."""
+    kind = rng.random()
+    if kind < 0.2:
+        return EDGE_CONSTANTS[rng.integers(len(EDGE_CONSTANTS))]
+    return 10.0 ** rng.uniform(-323.0 if kind < 0.6 else 15.0, 308.25)
+
+
+def exponents(p1, p2, p):
+    """The float exponents of ``_interpolate``, each capped at 1."""
+    return (min(1.0, (p1 / (p2 - p1)) * (p2 / p - 1.0)),
+            min(1.0, (p2 / (p2 - p1)) * (1.0 - p1 / p)))
+
+
+def decimal_power(context, m: float, e: float) -> Decimal:
+    """``m**e`` in ``context``'s precision; a zero exponent gives 1."""
+    if e == 0.0:
+        return Decimal(1)
+    return context.create_decimal_from_float(m) ** Decimal(e)
+
+
+def check_against_reference(got: float, f1: Decimal, f2: Decimal) -> None:
+    """``got`` against the 40-digit product of the powers ``f1`` and
+    ``f2``."""
+    exact = f1 * f2
+    if exact.is_infinite():
+        assert got == math.inf
+    elif exact >= Decimal(DBL_MAX) * (1 - Decimal("1e-15")):
+        assert got in (math.inf, DBL_MAX) \
+            or abs(Decimal(got) - exact) <= Decimal("1e-15") * exact
+    elif exact >= Decimal(DBL_MIN):
+        # a subnormal factor is rounded to a multiple of 5e-324, which the
+        # other factor scales
+        slack = sum(Decimal(5e-324) * other for factor, other
+                    in ((f1, f2), (f2, f1)) if factor < Decimal(DBL_MIN))
+        assert abs(Decimal(got) - exact) <= Decimal("1e-15") * exact + slack
+    else:
+        assert 0.0 <= got <= DBL_MIN
+
+
 class TestInterpolatedErrorBound:
     def test_left_endpoint(self):
         q, bound = interpolated_error_bound(1.5, 3.0, 1.5, 3.0, 7.0)
@@ -385,10 +443,33 @@ class TestInterpolatedErrorBound:
         assert bound == 14.0
 
     def test_an_infinite_constant_at_its_zero_exponent(self):
-        # the other endpoint's bound, computed in log space
+        # a zero exponent gives a factor of 1: the other endpoint's bound
         _, left = interpolated_error_bound(1.5, 3.0, 1.5, 3.0, math.inf)
         _, right = interpolated_error_bound(1.5, 3.0, 3.0, math.inf, 7.0)
-        assert (left, right) == (pytest.approx(6.0), pytest.approx(14.0))
+        assert (left, right) == (6.0, 14.0)
+
+    def test_matches_a_40_digit_reference(self):
+        # m1**e1 * m2**e2 at the same float exponents, to 40 digits: the
+        # result is within 1e-15 wherever that value and both powers are
+        # normal floats below the limit.  Above it, inf and DBL_MAX are
+        # both right: the exponents sum to 1 only within 4e-15.
+        rng = np.random.default_rng(27)
+        cases = 0
+        with localcontext() as context:
+            context.prec = 40
+            while cases < 10_000:
+                p1 = rng.uniform(1.0, 2.0)
+                p2 = rng.uniform(2.0 + 1e-6, 4.0)
+                p = float(rng.choice([p1, p2, rng.uniform(p1, p2)],
+                                     p=[0.1, 0.1, 0.8]))
+                m1, m2 = draw_constant(rng), draw_constant(rng)
+                f1, f2 = (decimal_power(context, m, e)
+                          for m, e in zip((m1, m2), exponents(p1, p2, p)))
+                if {f1, f2} & {0} and (f1.is_infinite() or f2.is_infinite()):
+                    continue   # 0 * inf has no value
+                cases += 1
+                got = _interpolate(p1, p2, p, m1, m2)
+                check_against_reference(got, f1, f2)
 
     def test_hand_value(self):
         q, bound = interpolated_error_bound(1.5, 3.0, 2.0, 2.0, 0.5)

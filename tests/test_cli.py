@@ -9,7 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,25 @@ class TestBound:
         code, out, err = run_cli(capsys, "bound", "--p", "2", "--norm", "1",
                                  *argv)
         assert (code, out, err) == (3, "", f"error: {power} overflows\n")
+
+    # m1 = 1.5e308, and m1 = 1e308 with m2 = 1.59e308: finite constants
+    # whose logarithms pass 709, and finite totals
+    @pytest.mark.parametrize("argv, total", [
+        (("--n", "10", "--n0", "1", "--gap", "0.5", "--dratio", "7.5e7"),
+         "9.65489e+204"),
+        (("--n", "1.26e-154", "--n0", "0", "--gap", "1", "--dratio", "2.5e7",
+          "--format", "json"), 1.3607331559227613e+308),
+    ], ids=["csv", "json"])
+    def test_refined_uniform_near_the_float_limit_is_finite(self, capsys,
+                                                            argv, total):
+        code, out, err = run_cli(
+            capsys, "bound", "--regime", "refined-uniform", "--p", "1.5",
+            "--norm", "1", "--alpha", "0.5", "--big-m", "1e300", *argv)
+        assert (code, err) == (0, "")
+        if isinstance(total, str):
+            assert parse_csv(out)[0]["total"] == total
+        else:
+            assert json.loads(out)["result"]["total"] == total
 
     def test_refined_gap_needs_n0_and_delta(self, capsys):
         code, _, err = run_cli(
@@ -485,10 +508,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--chain", "two-state", "--n", "2", "--f", "a,b"),
-         "usage error: cannot parse value vector from 'a,b'\n"),
+         "argument --f: cannot parse value vector from 'a,b'\n"),
         (("validate", "--chain", "two-state", "--suite", "bound-dominance",
           "--n-grid", "abc"),
-         "usage error: cannot parse integer grid from 'abc'\n"),
+         "argument --n-grid: cannot parse integer grid from 'abc'\n"),
         (("simulate", "--chain", "two-state", "--n", "2",
           "--chunk-elements", "abc"),
          "argument --chunk-elements: must be a positive integer, "
@@ -599,6 +622,23 @@ class TestSimulate:
         _, base, _ = run_cli(capsys, *args)
         _, rechunked, _ = run_cli(capsys, *args, "--chunk-elements", "256")
         assert base == rechunked
+
+    def test_output_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS runs as many threads as the process has cores, and the
+        # last bits of a 300-state chain's eigensolves followed them
+        argv = [sys.executable, "-m", "mcmc_budget.cli", "simulate",
+                "--chain", "lazy-cycle-300", "--n", "5000", "--n0", "0",
+                "--replications", "300", "--seed", "1729", "--format",
+                "json"]
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                              "OMP_NUM_THREADS", "MCMC_BUDGET_SEED")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        default, one_thread = (
+            subprocess.run(argv, env={**env, **threads}, capture_output=True,
+                           check=True, timeout=120).stdout
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}))
+        assert default == one_thread
 
     def test_output_file_and_determinism(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -885,6 +925,20 @@ class TestValidateCommand:
         assert out == ""
         assert flag in err
 
+    # a grid is checked when it is parsed, whether or not its suite runs
+    @pytest.mark.parametrize("chain, suite, flag, grid", [
+        ("two-state", "oracle", "--n-grid", "abc"),
+        ("two-state", "oracle", "--n-grid", ""),
+        ("two-state", "all", "--rate-grid", "1,x"),
+        ("iid-uniform", "rate", "--n-grid", ","),
+    ])
+    def test_unused_grid_is_checked(self, capsys, chain, suite, flag, grid):
+        code, out, err = run_cli(
+            capsys, "validate", "--chain", chain, "--suite", suite,
+            "--replications", "10", flag, grid)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: " in err
+
     @pytest.mark.parametrize("argv", [("validate",), ("simulate", "--n", "2")])
     def test_missing_chain_file_is_usage_error(self, capsys, tmp_path, argv):
         path = str(tmp_path / "nosuch.json")
@@ -1008,6 +1062,20 @@ class TestConfigFile:
             "--config", str(config))
         assert code == 2
         assert out == ""
+        assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("command, values, key", [
+        (("validate", "--suite", "oracle"), {"n_grid": "abc"}, "n_grid"),
+        (("validate", "--suite", "oracle"), {"rate_grid": ""}, "rate_grid"),
+        (("simulate", "--n", "3"), {"f": "a,b"}, "f"),
+    ], ids=["n-grid", "rate-grid", "f"])
+    def test_config_values_are_parsed_whether_or_not_used(
+            self, capsys, tmp_path, command, values, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, *command, "--chain", "two-state",
+                                 "--config", str(config))
+        assert (code, out) == (2, "")
         assert f"config key {key!r}" in err
 
     @pytest.mark.parametrize("value", ["0", "-5"])

@@ -333,6 +333,14 @@ def interpolated_error_bound(p1: float, p2: float, p: float,
     ``(q, bound)`` where ``bound = 2 * m1**e1 * m2**e2`` with exponents
     ``e1 = (p1/(p2-p1)) * (p2/p - 1)`` and ``e2 = (p2/(p2-p1)) * (1 - p1/p)``
     summing to one.
+
+    The bound is within 1e-15 relative of the exact value where both
+    powers ``m1**e1`` and ``m2**e2`` are normal floats.  Where one power is
+    subnormal and the product normal, the bound carries that power's
+    rounding: at worst 2.3e-10 relative, measured at ``(p1, p2, p) =
+    (1.7655, 3.1412, 1.7859)``, ``m1 = 2e-323``, ``m2 = 1.246e283``.  The
+    refined bounds never reach that corner: their ``m1`` is at least 2 and
+    their ``m2**e2`` stays normal.
     """
     _require(1.0 <= p1 < p2, "need 1 <= p1 < p2")
     _require(p1 <= p <= p2, "p must lie in [p1, p2]")

@@ -13,6 +13,11 @@ command line win) and the master seed via the ``MCMC_BUDGET_SEED``
 environment variable.  Exit codes: 0 success,
 1 failed validation check, 2 usage error, 3 domain or numeric error or a
 run that does not fit in memory.
+
+The module loads no numpy: ``bound`` and ``plan`` run on plain floats,
+``optimize`` and ``tables`` load it through ``delta_star``, and
+``simulate`` and ``validate`` through the chain, whose modules the
+handlers import when they run.
 """
 from __future__ import annotations
 
@@ -22,12 +27,11 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .bounds import (
     ChainParams,
@@ -38,13 +42,12 @@ from .bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from .chains import FiniteChainModel, SingularFunction, _ReplicationStreams
-from .estimator import DEFAULT_CHUNK_ELEMENTS, _check_window, estimate_e1
 from .exceptions import McmcBudgetError
 from .planner import PlanRequest, TableRow, budget_for_delta, budget_table, \
     delta_hat, delta_star, plan_uniform
 from .validate import (
     CSV_COLUMNS,
+    DEFAULT_CHUNK_ELEMENTS,
     _DEFAULT_SEED,
     _default_values,
     bound_dominance_suite,
@@ -76,9 +79,11 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "pass" if value else "fail"
-    if isinstance(value, (int, np.integer)):
+    # numpy's scalars register with the numbers ABCs; the built-in types,
+    # which most cells hold, match first
+    if isinstance(value, (int, numbers.Integral)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, numbers.Real)):
         return f"{float(value):.5e}"
     return str(value)
 
@@ -117,6 +122,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _parse_values(text: str) -> np.ndarray:
+    import numpy as np
     try:
         values = np.array([float(token) for token in text.split(",")
                            if token])
@@ -242,6 +248,7 @@ def cmd_tables(args) -> int:
 
 
 def _simulation_function(args, model):
+    from .chains import FiniteChainModel, SingularFunction
     if isinstance(model, FiniteChainModel):
         if args.f is not None:
             if args.f.shape[0] != model.chain.size:
@@ -263,6 +270,8 @@ def _load_model(source: str):
 
 
 def cmd_simulate(args) -> int:
+    from .chains import _ReplicationStreams
+    from .estimator import _check_window, estimate_e1
     model = _load_model(args.chain)
     f = _simulation_function(args, model)
     _check_window(args.n, args.n0)

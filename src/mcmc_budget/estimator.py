@@ -24,6 +24,7 @@ import numpy as np
 
 from .chains import _empty_rows, _ReplicationStreams
 from .exceptions import DomainError, NumericalError
+from .validate import DEFAULT_CHUNK_ELEMENTS
 
 __all__ = [
     "DEFAULT_CHUNK_ELEMENTS",
@@ -35,7 +36,6 @@ __all__ = [
     "rate_regression",
 ]
 
-DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _UNCERTAINTY_BLOCKS = 20
 # Threads pay only where each interpreted call, which holds the interpreter
 # lock, starts enough numpy work; elsewhere they contend.  So the rows run

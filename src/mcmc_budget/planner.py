@@ -22,8 +22,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import ChainParams, FunctionClass, _require, gap_burnin, \
     gap_error_bound, uniform_burnin, uniform_error_bound
 from .exceptions import DomainError, NumericalError
@@ -205,6 +203,9 @@ def delta_star(req: PlanRequest) -> tuple[float, Budget]:
     neighbors are always included as candidates, so the result never
     loses to them.
     """
+    # numpy's grid, not a pure-Python one, which differs in the last bit;
+    # imported here, so that planning at a given slack loads no numpy
+    import numpy as np
     _require(req.regime == "gap", "delta_star plans the gap regime")
     p = req.f.p
     d_hi = min(1.0, p - 1.0) * (1.0 - 1e-9)

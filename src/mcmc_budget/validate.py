@@ -10,14 +10,16 @@ The dominance margin convention throughout: an estimate passes against a
 bound when ``e1_hat <= bound + margin * uncertainty`` with ``margin = 4``,
 and an estimate matches an exact value when the absolute difference is at
 most ``margin * uncertainty``.
+
+The module loads no numpy of its own: ``resolve_model`` and each suite
+import ``chains`` and ``estimator`` when they run, so numpy loads with the
+first chain.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .bounds import (
     FunctionClass,
@@ -26,17 +28,6 @@ from .bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from .chains import (
-    TV_RESOLUTION,
-    FiniteChainModel,
-    InitialDistribution,
-    SingularFunction,
-    _TV_HORIZON,
-    load_chain,
-    make_chain,
-)
-from .estimator import (DEFAULT_CHUNK_ELEMENTS, _check_rate_sizes,
-                        estimate_e1_windows, exact_e1_small, rate_regression)
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -51,6 +42,10 @@ __all__ = [
 ]
 
 _DEFAULT_SEED = 2024
+# the estimator's default block budget, in values; the estimator exports
+# it, and it lives here so that the suites' and the parser's defaults
+# reach it without loading numpy
+DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _MARGIN = 4.0
 # the rate suite widens its slope window by this on either side
 _SLOPE_SLACK = 0.05
@@ -100,6 +95,7 @@ class ValidationReport:
 
 def resolve_model(source: str):
     """Interpret a chain argument as a JSON file path or a built-in name."""
+    from .chains import load_chain, make_chain
     text = str(source)
     if text.endswith(".json") or Path(text).exists():
         return load_chain(text)
@@ -113,6 +109,8 @@ def _point_mass_rebind(model: FiniteChainModel) -> FiniteChainModel:
     neutralize, which is the interesting regime for dominance checks.  The
     chain, and with it every constant but ``dratio``, stays.
     """
+    import numpy as np
+    from .chains import InitialDistribution
     state = int(np.argmin(np.asarray(model.chain.stationary)))
     return replace(model,
                    nu=InitialDistribution.point_mass(state, model.chain))
@@ -120,6 +118,7 @@ def _point_mass_rebind(model: FiniteChainModel) -> FiniteChainModel:
 
 def _default_values(model: FiniteChainModel) -> np.ndarray:
     """The state values ``0, 1, ..., S - 1``: ``f`` when none is given."""
+    import numpy as np
     return np.arange(model.chain.size, dtype=float)
 
 
@@ -143,6 +142,7 @@ def _window_rows(suite: str, model, values, windows, replications: int,
     ``judge(estimate)`` gives the row's check name, verdict and
     ``bound_total``.
     """
+    from .estimator import estimate_e1_windows
     rows = []
     for est in estimate_e1_windows(model, values, windows, replications,
                                    master_seed, chunk_elements):
@@ -217,6 +217,8 @@ def rate_suite(chain="iid-uniform", gamma: float = 0.65, p: float = 1.5,
     the left end is the heavy-tail prediction (tail index ``1/gamma``), the
     right end is the planner's guaranteed rate.
     """
+    from .chains import SingularFunction
+    from .estimator import _check_rate_sizes, rate_regression
     model = _model(chain, "rate")
     f = SingularFunction(gamma)
     # fail fast on p, on a norm that diverges for this pair and on the grid
@@ -254,6 +256,7 @@ def oracle_suite(chain="two-state", max_total: int = 8,
     ``n0`` gives the exact values of all its window lengths.  ``start`` is
     ``"point-mass"`` (the least likely state) or ``"stationary"``.
     """
+    from .estimator import exact_e1_small
     model = _model(chain, "oracle", start)
     values = _default_values(model)
     # exact[n0][n - 1] is the exact e1 of window (n, n0)
@@ -286,6 +289,8 @@ def constants_suite(chain="two-state",
     at every step of the horizon (distances below the float64 resolution
     floor count as zero), and detailed balance survives matrix powers.
     """
+    import numpy as np
+    from .chains import _TV_HORIZON, TV_RESOLUTION
     model = _model(chain, "constants")
     params = model.params
     certified = all(

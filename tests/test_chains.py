@@ -13,11 +13,15 @@ import importlib
 import itertools
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1068,3 +1072,34 @@ def test_public_names_resolve():
                 for name in exported[f"mcmc_budget.{module}"]]
     assert mcmc_budget.__all__ == declared
     assert len(set(declared)) == len(declared)
+
+
+_MODULES = ("bounds", "chains", "estimator", "exceptions", "planner",
+            "validate")
+
+
+def test_package_import_loads_no_numpy():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mcmc_budget; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(Path(
+            mcmc_budget.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_exports_are_the_modules_objects():
+    owners = {name: module for module in _MODULES
+              for name in importlib.import_module(
+                  f"mcmc_budget.{module}").__all__}
+    assert list(owners) == mcmc_budget.__all__
+    for name, module in owners.items():
+        assert getattr(mcmc_budget, name) is getattr(
+            sys.modules[f"mcmc_budget.{module}"], name), name
+    assert set(mcmc_budget.__all__) <= set(dir(mcmc_budget))
+    namespace = {}
+    exec("from mcmc_budget import *", namespace)
+    assert all(namespace[name] is getattr(mcmc_budget, name)
+               for name in mcmc_budget.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        mcmc_budget.no_such_name

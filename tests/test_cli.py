@@ -25,7 +25,7 @@ from mcmc_budget.bounds import (
     uniform_burnin,
     uniform_error_bound,
 )
-from mcmc_budget import chains, cli, validate
+from mcmc_budget import chains, cli, estimator, validate
 from mcmc_budget.chains import _ReplicationStreams, load_chain, make_chain
 from mcmc_budget.cli import build_parser, main
 from mcmc_budget.estimator import estimate_e1
@@ -583,7 +583,7 @@ class TestSimulate:
                                     message):
         def refuse(*args, **kwargs):
             raise raised
-        monkeypatch.setattr(cli, "estimate_e1", refuse)
+        monkeypatch.setattr(estimator, "estimate_e1", refuse)
         code, out, err = run_cli(capsys, "simulate", "--chain", "two-state",
                                  "--n", "5")
         assert (code, out, err) == (3, "", message)
@@ -598,7 +598,7 @@ class TestSimulate:
             self, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("simulated before checking --p")
-        monkeypatch.setattr(cli, "estimate_e1", refuse)
+        monkeypatch.setattr(estimator, "estimate_e1", refuse)
         code, out, err = run_cli(capsys, "simulate", "--n", "200000",
                                  "--replications", "200", *argv)
         assert (code, out, err) == (3, "", message)
@@ -896,7 +896,7 @@ class TestValidateCommand:
             self, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("simulated before checking the inputs")
-        monkeypatch.setattr(validate, "estimate_e1_windows", refuse)
+        monkeypatch.setattr(estimator, "estimate_e1_windows", refuse)
         code, out, err = run_cli(
             capsys, "validate", "--chain", "iid-uniform", "--suite", "rate",
             "--rate-grid", "10,20,40,80", "--replications", "2000",
@@ -1180,3 +1180,46 @@ class TestJsonFormat:
         assert set(payload["suites"][0]["rows"][0]) == {
             "suite", "chain", "check", "n", "n0", "replications",
             "e1_hat", "uncertainty", "bound_total", "passed", "seed"}
+
+
+class TestStartup:
+    # the statements a fresh plan or bound process runs before its handler
+    PLANNING = """
+import sys
+from mcmc_budget import cli
+from mcmc_budget.validate import resolve_model
+cli.build_parser()
+for argv in (["plan", "--p", "1.5", "--eps", "0.1", "--gap", "0.1",
+              "--dratio", "2"],
+             ["bound", "--regime", "refined-gap", "--n", "1e4", "--n0",
+              "10", "--p", "1.8", "--norm", "1", "--gap", "0.01",
+              "--dratio", "2", "--delta", "0.5"]):
+    assert cli.main(argv) == 0
+assert "numpy" not in sys.modules, "planning loaded numpy"
+"""
+
+    @pytest.mark.parametrize("first_use", [
+        'resolve_model("two-state")',
+        'cli.main(["optimize", "--p", "1.5", "--eps", "0.1", "--gap", '
+        '"0.1", "--dratio", "2"])',
+    ], ids=["chain", "optimize"])
+    def test_planning_loads_no_numpy_until_first_use(self, first_use):
+        script = (self.PLANNING + first_use
+                  + '\nassert "numpy" in sys.modules, "numpy never loaded"')
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("value, cell", [
+        (np.int64(-7), "-7"),
+        (np.float32(1 / 3), "3.33333e-01"),
+        (np.float64(2.5e-300), "2.50000e-300"),
+        (True, "pass"),
+        (False, "fail"),
+        (12, "12"),
+        (0.1, "1.00000e-01"),
+    ])
+    def test_cells_of_numpy_and_builtin_scalars(self, value, cell):
+        assert cli._format_cell(value) == cell

@@ -13,7 +13,7 @@ import pytest
 
 from mcmc_budget.chains import (FiniteChain, InitialDistribution,
                                 SingularFunction, finite_model, make_chain)
-from mcmc_budget import chains, validate
+from mcmc_budget import chains, estimator
 from mcmc_budget.estimator import estimate_e1, exact_e1_small
 from mcmc_budget.exceptions import ChainValidationError, DomainError
 from mcmc_budget.validate import (
@@ -137,7 +137,7 @@ class TestOracleSuite:
             calls.append((n, n0))
             return exact_e1_small(chain, nu, f_values, n, n0)
 
-        monkeypatch.setattr(validate, "exact_e1_small", counting_exact)
+        monkeypatch.setattr(estimator, "exact_e1_small", counting_exact)
         report = oracle_suite("lazy-cycle-3", max_total=4,
                               replications=500)
         assert calls == [(4, 0), (3, 1), (2, 2), (1, 3)]

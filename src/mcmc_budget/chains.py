@@ -43,6 +43,7 @@ import ctypes
 import json
 import math
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -386,6 +387,7 @@ class FiniteChain:
         self.reversible = bool(reversible)
         self._levels, self._counts = _level_table(k)
         self._tvs: list = []   # worst-start distances read so far
+        self._tv_lock = threading.Lock()   # held while a read extends them
 
     @property
     def size(self) -> int:
@@ -429,13 +431,16 @@ class FiniteChain:
         The chain keeps a list of the distances read so far and the last
         matrix power, which a read extends, so each power is computed once
         per chain, as far as :attr:`_decay` or the constants suite reads.
+        A read checks and extends them under the chain's lock, so threads
+        that share the chain append each power once.
         """
         for n in range(_TV_HORIZON):
-            if n == len(self._tvs):
-                self._power = (self._power if n else np.eye(self.size)) \
-                    @ self.transition
-                self._tvs.append(0.5 * np.abs(
-                    self._power - self.stationary[None, :]).sum(axis=1).max())
+            with self._tv_lock:
+                if n == len(self._tvs):
+                    self._power = (self._power if n else np.eye(self.size)) \
+                        @ self.transition
+                    offset = self._power - self.stationary[None, :]
+                    self._tvs.append(0.5 * np.abs(offset).sum(axis=1).max())
             yield self._tvs[n]
 
     @cached_property

@@ -281,40 +281,56 @@ def estimate_e1(model, f, n: int, n0: int, replications: int,
 
 def exact_e1_small(chain, nu, f_values, n: int, n0: int) -> np.ndarray:
     """Exact ``E|S - mu|`` of every window ``1 .. n`` after burn-in ``n0``,
-    by one forward recursion over (state, partial sum).
+    by one forward recursion over (state, partial sum) from the exact
+    burn-in law ``nu P**n0`` (:func:`_exact_e1`, which the oracle suite
+    runs once for all its burn-ins, with the same values bit for bit).
 
-    After the exact burn-in, ``mass[s, k]`` is the probability of state ``s``
-    with ``k`` as the window's sum of ``f - min f`` so far: the Markov-additive
-    recursion (Asmussen 2003, *Applied Probability and Queues*, ch. XI).  The
-    mass after ``m`` steps is window ``m + 1``, entry ``m`` of the result.  It
-    costs ``O(n**2 S**2 (max f - min f))``; ``f`` needs integer differences.
+    It costs ``O(n**2 S**2 (max f - min f))``; ``f`` needs integer
+    differences.
     """
     _check_window(n, n0)
+    weights = nu.nu
+    for _ in range(n0):
+        weights = weights @ chain.transition
+    return _exact_e1(chain, [weights], f_values, n)[0]
+
+
+def _exact_e1(chain, starts, f_values, n: int) -> np.ndarray:
+    """Exact ``E|S - mu|`` of every window ``1 .. n`` from each start law
+    in ``starts``, one row of the result each.
+
+    ``mass[s, i, k]`` is the probability, from start ``i``, of state ``s``
+    with ``k`` as the window's sum of ``f - min f`` so far: the
+    Markov-additive recursion (Asmussen 2003, *Applied Probability and
+    Queues*, ch. XI), stepped for every start by one product.  The mass
+    after ``m`` steps is window ``m + 1``, entry ``m`` of a row.  A start's
+    values do not depend on the others: each column of the product is its
+    own, and each start takes its e1 by its own dot product (one product
+    over all starts moves last bits).
+    """
     f = np.asarray(f_values, dtype=float)
     lift = f - f.min()
     if not np.array_equal(lift, np.round(lift)):
         raise DomainError("the exact oracle needs f values with integer "
                           "differences")
     lift = lift.astype(np.int64)
-    weights = nu.nu
-    for _ in range(n0):
-        weights = weights @ chain.transition
-    size, reach = chain.size, int(lift.max())
+    size, count, reach = chain.size, len(starts), int(lift.max())
     width = n * reach + 1
-    mass = np.zeros((size, width))
-    mass[np.arange(size), lift] = weights
+    mass = np.zeros((size, count, width))
+    mass[np.arange(size), :, lift] = np.transpose(starts)
     # an index below its row's start lands in the top max(lift) columns of
     # the row before (row 0: the last row), empty until the n-th value
-    source = (np.arange(size)[:, None] * width + np.arange(width)
-              - lift[:, None])
+    source = (np.arange(size * count)[:, None] * width
+              + np.arange(width)).reshape(mass.shape) - lift[:, None, None]
     mu = chain.expectation(f)
-    e1 = np.empty(n)
+    e1 = np.empty((count, n))
     for m in range(n):
         if m:
-            mass = (chain.transition.T @ mass).take(source)
+            mass = (chain.transition.T @ mass.reshape(size, -1)).take(source)
         sums = np.arange((m + 1) * reach + 1)
-        e1[m] = mass[:, :sums.size].sum(axis=0) @ np.abs(
-            f.min() + sums / (m + 1) - mu)
+        deviation = np.abs(f.min() + sums / (m + 1) - mu)
+        for i, total in enumerate(mass[:, :, :sums.size].sum(axis=0)):
+            e1[i, m] = total @ deviation
     return e1
 
 

@@ -13,12 +13,15 @@ most ``margin * uncertainty``.
 
 The module loads no numpy of its own: ``resolve_model`` and each suite
 import ``chains`` and ``estimator`` when they run, so numpy loads with the
-first chain.
+first chain.  ``resolve_model`` keeps the zoo models it builds by name (at
+most :data:`_ZOO_MODELS`), so a process pays for a model's constants,
+TV list and path table once, not once per command.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .bounds import (
@@ -47,6 +50,9 @@ _DEFAULT_SEED = 2024
 # reach it without loading numpy
 DEFAULT_CHUNK_ELEMENTS = 8_000_000
 _MARGIN = 4.0
+# the zoo models a process keeps by name (resolve_model), each at most
+# ~16 MB (lazy-cycle-1000)
+_ZOO_MODELS = 4
 # the rate suite widens its slope window by this on either side
 _SLOPE_SLACK = 0.05
 _R2_FLOOR = 0.98
@@ -94,12 +100,27 @@ class ValidationReport:
 
 
 def resolve_model(source: str):
-    """Interpret a chain argument as a JSON file path or a built-in name."""
-    from .chains import load_chain, make_chain
+    """Interpret a chain argument as a JSON file path or a built-in name.
+
+    A path is read on every call.  A name resolves to the model this
+    process last built for it, while it is among the
+    :data:`_ZOO_MODELS` names resolved most recently: a model is read-only
+    once built, and what it computes on first use (its constants, TV list
+    and path table) serves every later command.
+    """
     text = str(source)
     if text.endswith(".json") or Path(text).exists():
+        from .chains import load_chain
         return load_chain(text)
-    return make_chain(text)
+    return _zoo_model(text)
+
+
+@lru_cache(maxsize=_ZOO_MODELS)
+def _zoo_model(name: str):
+    """:func:`~mcmc_budget.chains.make_chain`, kept for the most recent
+    :data:`_ZOO_MODELS` names."""
+    from .chains import make_chain
+    return make_chain(name)
 
 
 def _point_mass_rebind(model: FiniteChainModel) -> FiniteChainModel:
@@ -252,16 +273,30 @@ def oracle_suite(chain="two-state", max_total: int = 8,
     """Monte Carlo versus the exact forward recursion on every small instance.
 
     Every (n, n0) with ``n + n0 <= max_total`` is checked:
-    ``|e1_hat - exact| <= margin * uncertainty``.  One recursion per burn-in
-    ``n0`` gives the exact values of all its window lengths.  ``start`` is
+    ``|e1_hat - exact| <= margin * uncertainty``.  One recursion gives the
+    exact values of every window length of every burn-in ``n0``, bit for
+    bit those of :func:`~mcmc_budget.estimator.exact_e1_small` per burn-in;
+    only where the burn-ins' mass would hold more than ``chunk_elements``
+    values do they split into groups, one recursion each.  ``start`` is
     ``"point-mass"`` (the least likely state) or ``"stationary"``.
     """
-    from .estimator import exact_e1_small
+    from .estimator import _exact_e1
     model = _model(chain, "oracle", start)
     values = _default_values(model)
-    # exact[n0][n - 1] is the exact e1 of window (n, n0)
-    exact = [exact_e1_small(model.chain, model.nu, values, max_total - n0, n0)
-             for n0 in range(max_total)]
+    size = model.chain.size
+    starts = [model.nu.nu]   # nu P**n0, by repeated products
+    for _ in range(1, max_total):
+        starts.append(starts[-1] @ model.chain.transition)
+    # exact[n0][n - 1] is the exact e1 of window (n, n0), from one
+    # recursion over a group of burn-ins whose mass holds at most
+    # chunk_elements values, or one burn-in's
+    exact = []
+    while len(exact) < max_total:
+        first = len(exact)
+        mass = size * ((max_total - first) * (size - 1) + 1)
+        group = starts[first:first + max(1, chunk_elements // mass)]
+        exact.extend(_exact_e1(model.chain, group, values,
+                               max_total - first))
 
     def judge(est):
         value = float(exact[est.n0][est.n - 1])

@@ -207,6 +207,38 @@ class TestUniformErgodicityConstants:
             # and the constant is tight: no 10% smaller M certifies
             assert tv > alpha**n * (big_m / 1.1) * 0.999
 
+    def test_threads_sharing_a_chain_read_one_tv_list(self):
+        # unguarded, two readers could both find power n missing, both
+        # extend the list, and append one power twice, which shifts every
+        # later distance
+        zoo = make_chain("lazy-cycle-50").chain
+        want = zoo._tvs
+        assert len(want) == 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                chain = FiniteChain(zoo.transition, zoo.stationary,
+                                    reversible=True)
+                ready = threading.Barrier(8)
+                reads = [None] * 8
+
+                def read(k):
+                    ready.wait(timeout=60)
+                    reads[k] = list(chain._worst_start_tvs())
+
+                threads = [threading.Thread(target=read, args=(k,))
+                           for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert chain._tvs == want
+                assert reads == [want] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_iid_degenerate(self):
         chain = FiniteChain.from_matrix([[0.5, 0.5], [0.5, 0.5]])
         assert uniform_ergodicity_constants(chain) == (0.0, 1.0)

@@ -779,6 +779,8 @@ class TestValidateCommand:
             return finite_model(*args, **kwargs)
 
         monkeypatch.setattr(chains, "finite_model", counting_finite_model)
+        # a model an earlier test resolved would be counted as no build
+        validate._zoo_model.cache_clear()
         code, out, _ = run_cli(
             capsys, "validate", "--chain", "lazy-cycle-4", "--suite", "all",
             "--max-total", "3", "--n-grid", "10,20", "--replications",
@@ -788,6 +790,32 @@ class TestValidateCommand:
             "constants", "oracle", "bound-dominance-uniform",
             "bound-dominance-gap"}
         assert len(built) == 1
+
+    def test_one_process_gives_the_bytes_of_separate_runs(self, capsys):
+        # the benchmark's commands, and a stationary start after a
+        # point-mass one, each run twice in one process, against each run
+        # with no model kept from an earlier command
+        commands = [
+            ("--chain", "two-state", "--suite", "oracle", "--max-total", "8",
+             "--replications", "2000", "--seed", "11"),
+            ("--chain", "lazy-cycle-3", "--suite", "oracle", "--max-total",
+             "8", "--replications", "2000", "--seed", "12"),
+            ("--chain", "two-state", "--suite", "bound-dominance",
+             "--regime", "uniform", "--n-grid", "10,100,1000",
+             "--replications", "200", "--seed", "13"),
+            ("--chain", "two-state", "--suite", "oracle", "--max-total", "3",
+             "--start", "stationary", "--replications", "2000", "--seed",
+             "14")]
+        separate = []
+        for argv in commands:
+            validate._zoo_model.cache_clear()
+            separate.append(run_cli(capsys, "validate", *argv, "--format",
+                                    "json"))
+        validate._zoo_model.cache_clear()
+        together = [run_cli(capsys, "validate", *argv, "--format", "json")
+                    for _ in range(2) for argv in commands]
+        assert together == separate * 2
+        assert [code for code, _, _ in separate] == [0] * 4
 
     def test_bound_dominance_quick(self, capsys):
         code, out, _ = run_cli(

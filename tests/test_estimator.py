@@ -781,6 +781,23 @@ class TestExactE1Small:
             prefix = exact_e1_small(model.chain, model.nu, f, n, 2)
             assert prefix.tolist() == full[:n].tolist()
 
+    def test_batched_starts_are_each_start_alone(self):
+        # random chains, start laws and integer f with gaps: a start's row
+        # does not depend on the other starts in the batch
+        rng = np.random.default_rng(5)
+        for size in (2, 3, 5, 12):
+            weights = rng.random((size, size))
+            weights += weights.T
+            chain = FiniteChain.from_matrix(
+                weights / weights.sum(axis=1, keepdims=True))
+            starts = rng.dirichlet(np.ones(size), 6)
+            f = rng.integers(-3, 4, size).astype(float)
+            batched = estimator._exact_e1(chain, starts, f, 7)
+            assert batched.shape == (6, 7)
+            for row, start in zip(batched, starts):
+                alone = estimator._exact_e1(chain, [start], f, 7)
+                assert np.array_equal(row, alone[0])
+
     def test_non_integer_differences_raise(self):
         model = two_state_model()
         with pytest.raises(DomainError, match="integer differences"):

@@ -6,15 +6,18 @@ report plumbing (schema, determinism, chain resolution).
 """
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from mcmc_budget.chains import (FiniteChain, InitialDistribution,
                                 SingularFunction, finite_model, make_chain)
-from mcmc_budget import chains, estimator
+from mcmc_budget import chains, estimator, validate
 from mcmc_budget.estimator import estimate_e1, exact_e1_small
+from mcmc_budget.estimator import _exact_e1 as exact_e1
 from mcmc_budget.exceptions import ChainValidationError, DomainError
 from mcmc_budget.validate import (
     CSV_COLUMNS,
@@ -48,6 +51,38 @@ class TestResolveModel:
     def test_unknown_name(self):
         with pytest.raises(DomainError, match="unknown chain"):
             resolve_model("three-state")
+
+    def test_a_name_resolves_to_one_model(self):
+        assert resolve_model("lazy-cycle-3") is resolve_model("lazy-cycle-3")
+        assert resolve_model("two-state") is not resolve_model("lazy-cycle-3")
+
+    def test_make_chain_builds_a_fresh_model(self):
+        first, second = make_chain("two-state"), make_chain("two-state")
+        assert first is not second and first.chain is not second.chain
+        assert resolve_model("two-state") not in (first, second)
+
+    def test_a_rewritten_json_file_gives_the_new_chain(self, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"matrix": [[0.9, 0.1], [0.2, 0.8]]}))
+        before = resolve_model(str(path))
+        path.write_text(json.dumps({"matrix": [[0.5, 0.5], [0.5, 0.5]]}))
+        after = resolve_model(str(path))
+        assert after is not before
+        assert after.chain.transition.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+    def test_the_oldest_model_is_released(self):
+        validate._zoo_model.cache_clear()
+        # maxsize + 1 names
+        names = [f"lazy-cycle-{size}"
+                 for size in range(3, 4 + validate._ZOO_MODELS)]
+        oldest = weakref.ref(resolve_model(names[0]))
+        for name in names[1:-1]:
+            resolve_model(name)
+        gc.collect()
+        assert oldest() is not None
+        resolve_model(names[-1])
+        gc.collect()
+        assert oldest() is None
 
 
 class TestConstantsSuite:
@@ -107,6 +142,43 @@ class TestConstantsSuite:
         assert list(kept._worst_start_tvs()) == want
 
 
+def _random_reversible(seed, size):
+    """A dense random reversible chain: symmetric weights, by row."""
+    weights = np.random.default_rng(seed).random((size, size))**3
+    weights += weights.T
+    return finite_model(FiniteChain.from_matrix(
+        weights / weights.sum(axis=1, keepdims=True)))
+
+
+def _oracle_models(chain):
+    """The models behind one name of the oracle's bit-identity tests."""
+    if chain == "dense-40":   # CI's dense chain
+        weights = np.random.default_rng(7).random((40, 40))
+        weights += weights.T
+        return [finite_model(FiniteChain.from_matrix(
+            weights / weights.sum(axis=1, keepdims=True)))]
+    if chain == "random-12":
+        return [_random_reversible(12, 12)]
+    if chain == "random-2-5":
+        return [_random_reversible(seed, 2 + seed % 4) for seed in range(20)]
+    return [make_chain(chain)]
+
+
+def _exact_values(report):
+    """The exact value of each oracle row, by window."""
+    return {(row.n, row.n0): row.bound_total for row in report.rows}
+
+
+def _per_burnin_values(model, max_total):
+    """The oracle's exact values by one ``exact_e1_small`` per burn-in."""
+    model = _point_mass_rebind(model)
+    values = np.arange(model.chain.size, dtype=float)
+    return {(n, n0): float(e1)
+            for n0 in range(max_total)
+            for n, e1 in enumerate(exact_e1_small(
+                model.chain, model.nu, values, max_total - n0, n0), start=1)}
+
+
 class TestOracleSuite:
     def test_small_scale_passes(self):
         for chain in ("two-state", "lazy-cycle-3"):
@@ -130,20 +202,54 @@ class TestOracleSuite:
         with pytest.raises(DomainError, match="start"):
             oracle_suite(chain=chain, start="bogus")
 
-    def test_one_exact_recursion_per_burnin(self, monkeypatch):
+    def test_one_exact_recursion_per_suite(self, monkeypatch):
         calls = []
 
-        def counting_exact(chain, nu, f_values, n, n0):
-            calls.append((n, n0))
-            return exact_e1_small(chain, nu, f_values, n, n0)
+        def counting_exact(chain, starts, f_values, n):
+            calls.append((len(starts), n))
+            return exact_e1(chain, starts, f_values, n)
 
-        monkeypatch.setattr(estimator, "exact_e1_small", counting_exact)
+        monkeypatch.setattr(estimator, "_exact_e1", counting_exact)
         report = oracle_suite("lazy-cycle-3", max_total=4,
                               replications=500)
-        assert calls == [(4, 0), (3, 1), (2, 2), (1, 3)]
+        assert calls == [(4, 4)]
         assert [(row.n, row.n0) for row in report.rows] == [
             (n, n0) for n0 in range(4) for n in range(1, 5 - n0)]
         assert all(type(row.passed) is bool for row in report.rows)
+
+    @pytest.mark.parametrize("max_total", [1, 3, 8])
+    @pytest.mark.parametrize("chain", ["two-state", "lazy-cycle-3",
+                                       "lazy-cycle-8", "lazy-cycle-50",
+                                       "dense-40", "random-12",
+                                       "random-2-5"])
+    def test_exact_values_are_the_per_burnin_recursions(self, chain,
+                                                        max_total):
+        for model in _oracle_models(chain):
+            report = oracle_suite(model, max_total=max_total,
+                                  replications=2)
+            assert _exact_values(report) == _per_burnin_values(model,
+                                                               max_total)
+
+    def test_a_small_chunk_splits_the_burnins(self, monkeypatch):
+        calls = []
+
+        def counting_exact(chain, starts, f_values, n):
+            calls.append(len(starts))
+            return exact_e1(chain, starts, f_values, n)
+
+        monkeypatch.setattr(estimator, "_exact_e1", counting_exact)
+        model = make_chain("lazy-cycle-8")
+        whole = _exact_values(oracle_suite(model, replications=2))
+        assert calls == [8]
+        # one burn-in's mass: 8 states x (8 * 7 + 1) sums at n0 = 0,
+        # 8 x (6 * 7 + 1) at n0 = 2, 8 x (4 * 7 + 1) at n0 = 4
+        for chunk, groups in ((1000, [2, 2, 4]), (1, [1] * 8)):
+            calls.clear()
+            report = oracle_suite(model, replications=2,
+                                  chunk_elements=chunk)
+            assert calls == groups
+            assert _exact_values(report) == whole
+        assert whole == _per_burnin_values(model, 8)
 
     def test_deterministic(self):
         a = oracle_suite(max_total=3, replications=5000, master_seed=77)
